@@ -61,7 +61,6 @@ from .modes import (
     plane_wave_mode,
 )
 from .numerics import (
-    HAVE_COMPILED_VOLTERRA,
     ConvergenceError,
     Grid1D,
     QuadratureSpec,

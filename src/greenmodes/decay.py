@@ -4,9 +4,11 @@ The amplitude of an initially excited atom obeys
 dc/dt = int_0^t D(t - s) c(s) ds with a stationary kernel
 D(tau) = -int w(omega) exp(-i (omega - omega0) tau) d(omega),
 where the weight w >= 0 is either a discrete set of mode lines or a
-continuous density built from the coincidence Im G.  Both constructions
-are provided, the Volterra march solves the dynamics, and the Markov
-limit (rate plus shift) is extracted by the half-line tau integral.
+continuous density built from the coincidence Im G.  The weight is the
+master module's zero-temperature SpectralDensity, so D(tau) is -C_up(tau)
+rotated at omega0 and the Markov limit (rate plus shift) is the decay
+reading of its half-line coefficient k1.  The Volterra march solves the
+dynamics.
 """
 
 from dataclasses import dataclass, field
@@ -14,26 +16,27 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import Constants
-from .modes import coupling_strengths
-from .numerics import (
-    Grid1D,
-    QuadratureSpec,
-    fourier_table,
-    integrate_adaptive,
-    integrate_pv,
-    volterra_march,
+from .master import (  # noqa: F401  (resonance_edge_hints is re-exported)
+    SpectralDensity,
+    bath_correlations,
+    markov_coefficients,
+    resonance_edge_hints,
+    spectral_density_lna,
+    spectral_density_nmqed,
 )
+from .numerics import Grid1D, QuadratureSpec, integrate_adaptive, volterra_march
 
 
 @dataclass
 class MemoryKernel:
     """Stationary decay kernel D(tau) with its frequency-domain origin.
 
-    Discrete: weights[i] at omegas[i] (units of rate squared).
-    Continuous: weight(omega) density on [0, omega_max].  Exactly one of
-    the two representations is populated.  provenance records which
-    construction route produced it ('nmqed', 'lna', 'custom').
+    Discrete: weights[i] at omegas[i] (units of rate squared), stored
+    sorted by frequency.  Continuous: weight(omega) density on
+    [0, omega_max].  Exactly one of the two representations is
+    populated; density holds it as a zero-temperature SpectralDensity,
+    which does the validation.  provenance records which construction
+    route produced it ('nmqed', 'lna', 'custom').
     """
 
     omega0: float
@@ -44,28 +47,31 @@ class MemoryKernel:
     omega_max: float = 0.0
     edge_hints: Optional[np.ndarray] = None  # sharp features of w(omega)
     metadata: dict = field(default_factory=dict)
+    density: SpectralDensity = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.omega0 <= 0.0:
             raise ValueError("omega0 must be positive")
-        if (self.weight is None) == (self.weights is None):
-            raise ValueError("exactly one of weights / weight must be given")
-        if self.weights is not None:
-            self.omegas = np.asarray(self.omegas, dtype=float)
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.omegas.shape != self.weights.shape or self.omegas.ndim != 1:
-                raise ValueError("omegas and weights must be matching 1-d arrays")
-            if self.omegas.size == 0:
-                raise ValueError("empty mode list")
-            if np.any(self.weights < 0.0):
-                raise ValueError("negative spectral weight")
-        else:
-            if self.omega_max <= 0.0:
-                raise ValueError("continuous kernel needs omega_max > 0")
+        if self.weights is not None and np.ndim(self.omegas) == 1 \
+                and np.shape(self.omegas) == np.shape(self.weights):
+            order = np.argsort(self.omegas, kind="stable")
+            self.omegas = np.asarray(self.omegas, dtype=float)[order]
+            self.weights = np.asarray(self.weights, dtype=float)[order]
+        self.density = SpectralDensity(
+            provenance=self.provenance,
+            omegas=self.omegas,
+            values=self.weights,
+            sampler=self.weight,
+            omega_max=self.omega_max,
+            edge_hints=self.edge_hints,
+            metadata=self.metadata,
+        )
+        self.omegas = self.density.omegas
+        self.weights = self.density.values
 
     @property
     def is_discrete(self):
-        return self.weights is not None
+        return self.density.is_discrete
 
     def total_weight(self, spec=None):
         """Sum or integral of w; this is -D(0) and the short-time
@@ -74,71 +80,36 @@ class MemoryKernel:
             return float(np.sum(self.weights))
         spec = spec or QuadratureSpec()
         val, _ = integrate_adaptive(
-            lambda w: np.asarray(self.weight(w), dtype=float),
-            0.0, self.omega_max, spec)
+            self.density.value, 0.0, self.omega_max, spec)
         return float(val)
 
     def table(self, taus):
         """D on an array of delays, vectorized over the whole grid."""
         taus = np.asarray(taus, dtype=float)
-        if self.is_discrete:
-            detun = self.omegas - self.omega0
-            # chunked so the tau x mode phase matrix stays small
-            flat = taus.ravel()
-            res = np.empty(flat.shape, dtype=complex)
-            for i in range(0, flat.size, 4096):
-                chunk = flat[i:i + 4096]
-                res[i:i + 4096] = np.exp(
-                    -1j * np.outer(chunk, detun)) @ self.weights
-            return -res.reshape(taus.shape)
-        return -fourier_table(self.weight, 0.0, self.omega_max, taus,
-                              rotation=self.omega0,
-                              edge_hints=self.edge_hints).reshape(taus.shape)
+        corr = bath_correlations(self.density, self.omega0, taus.ravel())
+        return -corr.c_up.reshape(taus.shape)
 
     def __call__(self, tau):
         return complex(self.table(np.array([float(tau)]))[0])
 
 
-def resonance_edge_hints(omegas, eta, omega_max):
-    """Panel edges bracketing softened lines at omegas with half width
-    ~eta, geometric on both sides so a fixed Gauss rule resolves the core
-    and the algebraic tails."""
-    uniq = np.unique(np.round(np.asarray(omegas, dtype=float), 9))
-    offs = eta * np.array(
-        [-1000.0, -200.0, -50.0, -10.0, -3.0, 0.0, 3.0, 10.0, 50.0, 200.0, 1000.0])
-    edges = (uniq[:, None] + offs[None, :]).ravel()
-    return edges[(edges > 0.0) & (edges < omega_max)]
+def _kernel(density, atom):
+    return MemoryKernel(
+        omega0=atom.omega0,
+        provenance=density.provenance,
+        omegas=density.omegas,
+        weights=density.values,
+        weight=density.sampler,
+        omega_max=density.omega_max,
+        edge_hints=density.edge_hints,
+        metadata=density.metadata,
+    )
 
 
 def kernel_nmqed(modeset, atom):
     """Discrete kernel from a closed-cavity mode set: one line per mode
     at weight |g|^2 / hbar^2."""
-    if len(modeset) == 0:
-        raise ValueError("empty mode set")
-    weights = coupling_strengths(modeset, atom)
-    return MemoryKernel(
-        omega0=atom.omega0,
-        provenance="nmqed",
-        omegas=modeset.omegas.copy(),
-        weights=weights,
-        metadata={"n_modes": len(modeset)},
-    )
-
-
-def _lna_mode_masses(modeset, atom, const):
-    """Per-mode frequency-integrated weight of the noise-current kernel
-    in the vanishing-softening limit.
-
-    Each softened mode line integrates to
-    (1 / hbar pi eps0) (w_k^2 / c^2) (gamma . E_k)^2 c^2 (pi / 2 w_k);
-    the arithmetic is kept in this order on purpose so the route stays
-    distinct from the |g|^2/hbar^2 chain it must agree with.
-    """
-    fields = modeset.eval_all(atom.position)
-    proj = (fields @ atom.dipole) ** 2
-    om = modeset.omegas
-    return (1.0 / (const.hbar * np.pi * const.eps0)) * (
-        om**2 / const.c**2) * proj * const.c**2 * (np.pi / (2.0 * om))
+    return _kernel(spectral_density_nmqed(modeset, atom), atom)
 
 
 def kernel_lna(green, atom, spec=None, omega_max=None, analytic_limit=False):
@@ -153,56 +124,9 @@ def kernel_lna(green, atom, spec=None, omega_max=None, analytic_limit=False):
     continuous, tabulated from im_coincidence, and a lossy medium at the
     atom position raises through the backend.
     """
-    spec = spec or QuadratureSpec()
-    const = (getattr(green, "const", None)
-             or getattr(getattr(green, "modeset", None), "const", None)
-             or Constants.natural())
-
-    if analytic_limit:
-        modeset = getattr(green, "modeset", None)
-        if modeset is None:
-            raise ValueError("analytic_limit needs a cavity mode-sum backend")
-        if len(modeset) == 0:
-            raise ValueError("empty mode set")
-        masses = _lna_mode_masses(modeset, atom, const)
-        return MemoryKernel(
-            omega0=atom.omega0,
-            provenance="lna",
-            omegas=modeset.omegas.copy(),
-            weights=masses,
-            metadata={"n_modes": len(modeset), "path": "analytic-limit"},
-        )
-
-    if omega_max is None:
-        omega_max = spec.omega_max
-    gamma = atom.dipole
-    r0 = atom.position
-    pref = 1.0 / (const.hbar * np.pi * const.eps0)
-
-    def weight(omega):
-        omega = np.atleast_1d(omega)
-        out = np.empty(omega.shape, dtype=float)
-        for i, w in enumerate(omega):
-            img = green.im_coincidence(r0, float(w))
-            out[i] = pref * (w**2 / const.c**2) * float(gamma @ img @ gamma)
-        return out
-
-    # a softened mode-sum backend has narrow lines the tabulation must
-    # not step over
-    hints = None
-    modeset = getattr(green, "modeset", None)
-    eta = getattr(green, "eta", 0.0)
-    if modeset is not None and eta > 0.0:
-        hints = resonance_edge_hints(modeset.omegas, eta, float(omega_max))
-
-    return MemoryKernel(
-        omega0=atom.omega0,
-        provenance="lna",
-        weight=weight,
-        omega_max=float(omega_max),
-        edge_hints=hints,
-        metadata={"omega_max": float(omega_max)},
-    )
+    return _kernel(spectral_density_lna(green, atom, spec=spec,
+                                        omega_max=omega_max,
+                                        analytic_limit=analytic_limit), atom)
 
 
 @dataclass
@@ -263,36 +187,14 @@ def solve_volterra(kernel, t_max, n_steps, fit_window=None):
 def markov_rate_and_shift(kernel, atom=None, spec=None):
     """(Gamma, delta) of the Markov limit c(t) = exp(-Gamma t / 2 + i delta t).
 
-    Gamma = 2 pi w(omega0); delta = PV int w(omega) / (omega - omega0).
-    Discrete kernels: any line exactly at omega0 must carry zero weight
-    (otherwise there is no Markov limit), the shift is the plain sum over
-    detuned lines.  atom, when given, only cross-checks omega0.
+    (2 Re k1, -Im k1) of the kernel's zero-temperature density at omega0:
+    Gamma = 2 pi w(omega0), delta = PV int w(omega) / (omega - omega0).
+    Discrete kernels have Gamma = 0, and a line exactly at omega0 with
+    finite weight has no Markov limit.  atom, when given, only
+    cross-checks omega0.
     """
-    spec = spec or QuadratureSpec()
-    omega0 = kernel.omega0
-    if atom is not None and abs(atom.omega0 - omega0) > 1e-12 * omega0:
+    if atom is not None and abs(atom.omega0 - kernel.omega0) > 1e-12 * kernel.omega0:
         raise ValueError("atom and kernel disagree on omega0")
-
-    if kernel.is_discrete:
-        detun = kernel.omegas - omega0
-        resonant = np.abs(detun) <= 1e-12 * omega0
-        if np.any(kernel.weights[resonant] > 0.0):
-            raise ValueError(
-                "discrete line with finite weight exactly at omega0; "
-                "the Markov limit does not exist"
-            )
-        keep = ~resonant
-        gamma = 0.0
-        delta = float(np.sum(kernel.weights[keep] / detun[keep]))
-        return gamma, delta
-
-    w0 = float(np.atleast_1d(kernel.weight(np.array([omega0])))[0])
-    gamma = 2.0 * np.pi * w0
-    if not (0.0 < omega0 < kernel.omega_max):
-        raise ValueError("omega0 must lie inside (0, omega_max) for the PV shift")
-
-    def f(w):
-        return np.asarray(kernel.weight(w), dtype=float) / (w - omega0)
-
-    delta, _ = integrate_pv(f, omega0, 0.0, kernel.omega_max, spec)
-    return gamma, float(delta)
+    k1, _ = markov_coefficients(kernel.density, kernel.omega0, spec)
+    # + 0.0 turns the -0.0 real part of a line kernel's k1 into 0.0
+    return 2.0 * k1.real + 0.0, -k1.imag

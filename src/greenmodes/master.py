@@ -7,11 +7,17 @@ whose coefficients are time integrals of two bath correlators,
     C_dn(tau) = S[ J(w)  n(w)    exp(-i (w - w_d) tau) ],
 
 with S either a mode sum (discrete density) or a frequency integral
-(continuous density) and w_d the transition frequency.  Two modes are
-shipped: 'finite_memory' keeps the literal int_0^t coefficients, and
-'markov' extends them to infinity, which turns the equation into a
-constant-rate Lindblad form with rates 2 pi J(w_d)(n+1), 2 pi J(w_d) n
-and a principal-value level shift.
+(continuous density) and w_d the transition frequency.  The same
+SpectralDensity at T = 0 is the weight behind the decay module's memory
+kernel, D(tau) = -C_up(tau) at w_d = omega0.
+
+Both shipped modes act through one 4x4 Liouvillian L(k1, k2) on
+vec(rho).  'finite_memory' keeps the literal int_0^t coefficients and
+marches fixed fourth-order steps built from L, halving the step until
+rho_ee settles.  'markov' extends the coefficients to infinity, which
+gives a constant-rate Lindblad form with rates 2 pi J(w_d)(n+1),
+2 pi J(w_d) n and a principal-value level shift; it propagates exactly
+with exp(h L) on the requested grid.
 
 Basis convention: index 0 is the excited state, index 1 the ground state.
 """
@@ -22,13 +28,13 @@ from typing import Optional
 import numpy as np
 
 from .constants import Constants, ThermalState, thermal_occupation
-from .decay import resonance_edge_hints
 from .modes import coupling_strengths
 from .numerics import (
     Grid1D,
     QuadratureSpec,
     fourier_table,
     integrate_pv,
+    phase_sum,
 )
 
 
@@ -84,6 +90,17 @@ class SpectralDensity:
         return self.temperature.occupation(omega)
 
 
+def resonance_edge_hints(omegas, eta, omega_max):
+    """Panel edges bracketing softened lines at omegas with half width
+    ~eta, geometric on both sides so a fixed Gauss rule resolves the core
+    and the algebraic tails."""
+    uniq = np.unique(np.round(np.asarray(omegas, dtype=float), 9))
+    offs = eta * np.array(
+        [-1000.0, -200.0, -50.0, -10.0, -3.0, 0.0, 3.0, 10.0, 50.0, 200.0, 1000.0])
+    edges = (uniq[:, None] + offs[None, :]).ravel()
+    return edges[(edges > 0.0) & (edges < omega_max)]
+
+
 def spectral_density_nmqed(modeset, atom, temperature=None):
     """One line per cavity mode at J_k = |g_k|^2 / hbar^2."""
     if len(modeset) == 0:
@@ -101,8 +118,10 @@ def spectral_density_nmqed(modeset, atom, temperature=None):
 
 def _lna_line_masses(modeset, atom, const):
     """Noise-current arithmetic for the frequency-integrated mass of each
-    softened line in the vanishing-width limit; numerically equal to
-    |g|^2 / hbar^2 through a different chain of factors."""
+    softened line in the vanishing-width limit,
+    (w_k^2 / c^2) (gamma . E_k)^2 c^2 pi / (2 w_k pi hbar eps0).  The
+    factors are kept in this order on purpose: the route stays a distinct
+    chain from the |g|^2/hbar^2 one it must agree with."""
     fields = modeset.eval_all(atom.position)
     proj = (fields @ atom.dipole) ** 2
     om = modeset.omegas
@@ -115,17 +134,19 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
     """J(omega) = (omega^2/c^2) gamma . Im G(r0, r0, omega) . gamma / (pi hbar eps0).
 
     Continuous by default, sampled through the backend's coincidence
-    Im G.  analytic_limit=True needs a cavity mode-sum backend and
-    returns the discrete line masses instead (the vanishing-softening
-    limit taken analytically, line by line).
+    Im G; a softened mode-sum backend gets panel edges at its lines so
+    tabulations do not step over them, and a lossy medium at the atom
+    position raises through the backend.  analytic_limit=True needs a
+    cavity mode-sum backend and returns the discrete line masses instead
+    (the vanishing-softening limit taken analytically, line by line).
     """
     spec = spec or QuadratureSpec()
+    modeset = getattr(green, "modeset", None)
     const = (getattr(green, "const", None)
-             or getattr(getattr(green, "modeset", None), "const", None)
+             or getattr(modeset, "const", None)
              or Constants.natural())
 
     if analytic_limit:
-        modeset = getattr(green, "modeset", None)
         if modeset is None:
             raise ValueError("analytic_limit needs a cavity mode-sum backend")
         if len(modeset) == 0:
@@ -155,7 +176,6 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
         return out
 
     hints = None
-    modeset = getattr(green, "modeset", None)
     eta = getattr(green, "eta", 0.0)
     if modeset is not None and eta > 0.0:
         hints = resonance_edge_hints(modeset.omegas, eta, float(omega_max))
@@ -181,16 +201,12 @@ def kernel_equivalence_check(discrete, continuous, taus, spec=None):
     if not discrete.is_discrete:
         raise ValueError("first argument must be a discrete density")
     taus = np.asarray(taus, dtype=float)
-
-    def line_transform(density):
-        return np.exp(-1j * np.outer(taus, density.omegas)) @ density.values
-
-    s_disc = line_transform(discrete)
+    s_disc = phase_sum(taus, discrete.omegas, discrete.values)
     if continuous.is_discrete:
         if continuous.omegas.shape != discrete.omegas.shape or not np.allclose(
                 continuous.omegas, discrete.omegas, rtol=1e-9, atol=0.0):
             raise ValueError("densities come from different mode data")
-        s_cont = line_transform(continuous)
+        s_cont = phase_sum(taus, continuous.omegas, continuous.values)
     else:
         if continuous.omega_max <= discrete.omegas[-1]:
             raise ValueError(
@@ -228,33 +244,30 @@ class BathCorrelations:
 
 
 def bath_correlations(density, omega_d, taus):
-    """Correlator tables for a density at transition frequency omega_d."""
+    """Correlator tables for a density at transition frequency omega_d.
+
+    Both channels go through one phase sum.  At T = 0 the downward
+    channel is identically zero and is not transformed.
+    """
     taus = np.asarray(taus, dtype=float)
+    thermal = density.temperature.temperature != 0.0
+
+    def channels(w, j):
+        nbar = density.occupation(w)
+        if not thermal:
+            return j * (nbar + 1.0)
+        return np.stack([j * (nbar + 1.0), j * nbar], axis=-1)
+
     if density.is_discrete:
-        nbar = thermal_occupation(
-            density.omegas, density.temperature.temperature,
-            density.temperature.const)
-        phases = np.exp(-1j * np.outer(taus, density.omegas - omega_d))
-        c_up = phases @ (density.values * (nbar + 1.0))
-        c_dn = phases @ (density.values * nbar)
+        c = phase_sum(taus, density.omegas - omega_d,
+                      channels(density.omegas, density.values))
     else:
-        tstate = density.temperature
-
-        def w_up(w):
-            return density.value(w) * (tstate.occupation(w) + 1.0)
-
-        c_up = fourier_table(w_up, 0.0, density.omega_max, taus,
-                             rotation=omega_d, edge_hints=density.edge_hints)
-        if tstate.temperature == 0.0:
-            c_dn = np.zeros_like(c_up)
-        else:
-            def w_dn(w):
-                return density.value(w) * tstate.occupation(w)
-
-            c_dn = fourier_table(w_dn, 0.0, density.omega_max, taus,
-                                 rotation=omega_d,
-                                 edge_hints=density.edge_hints)
-    return BathCorrelations(taus, c_up, c_dn, float(omega_d))
+        c = fourier_table(lambda w: channels(w, density.value(w)),
+                          0.0, density.omega_max, taus, rotation=omega_d,
+                          edge_hints=density.edge_hints)
+    if thermal:
+        return BathCorrelations(taus, c[:, 0], c[:, 1], float(omega_d))
+    return BathCorrelations(taus, c, np.zeros_like(c), float(omega_d))
 
 
 def markov_coefficients(density, omega_d, spec=None):
@@ -335,34 +348,47 @@ def _hamiltonian_over_hbar(atom):
     return np.array([[det, 0.5 * rabi], [0.5 * rabi, 0.0]], dtype=complex)
 
 
-def _rhs(rho, hmat, k1, k2):
-    out = -1j * (hmat @ rho - rho @ hmat)
-    g1 = k1.real * 2.0
-    g2 = k2.real * 2.0
-    out[0, 0] += -g1 * rho[0, 0] + g2 * rho[1, 1]
-    out[1, 1] += g1 * rho[0, 0] - g2 * rho[1, 1]
-    out[0, 1] += -(k1 + np.conj(k2)) * rho[0, 1]
-    out[1, 0] += -(np.conj(k1) + k2) * rho[1, 0]
-    return out
+def _liouvillian(hmat, k1, k2):
+    """Generator L(k1, k2) acting on the row-major vec(rho) = (ee, eg, ge,
+    gg), batched over the broadcast shape of the coefficient arrays:
+    coherent part -i [H, rho], population rates 2 Re k1 (down) and
+    2 Re k2 (up), coherence damping k1 + conj(k2)."""
+    k1 = np.asarray(k1, dtype=complex)
+    k2 = np.asarray(k2, dtype=complex)
+    eye = np.eye(2)
+    lmat = np.empty(np.broadcast_shapes(k1.shape, k2.shape) + (4, 4),
+                    dtype=complex)
+    lmat[...] = -1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T))
+    g1 = 2.0 * k1.real
+    g2 = 2.0 * k2.real
+    lmat[..., 0, 0] -= g1
+    lmat[..., 0, 3] += g2
+    lmat[..., 3, 0] += g1
+    lmat[..., 3, 3] -= g2
+    lmat[..., 1, 1] -= k1 + np.conj(k2)
+    lmat[..., 2, 2] -= np.conj(k1) + k2
+    return lmat
 
 
-def _march(rho0, hmat, k1_of, k2_of, n_steps, h):
-    """Classical fourth-order fixed-step march; k*_of map a half-step
-    index (0 .. 2 n_steps) to the coefficient value at that time."""
-    rhos = np.empty((n_steps + 1, 2, 2), dtype=complex)
-    rhos[0] = rho0
-    rho = rho0.copy()
-    for i in range(n_steps):
-        j = 2 * i
-        ka1, kb1, kc1 = k1_of(j), k1_of(j + 1), k1_of(j + 2)
-        ka2, kb2, kc2 = k2_of(j), k2_of(j + 1), k2_of(j + 2)
-        f1 = _rhs(rho, hmat, ka1, ka2)
-        f2 = _rhs(rho + 0.5 * h * f1, hmat, kb1, kb2)
-        f3 = _rhs(rho + 0.5 * h * f2, hmat, kb1, kb2)
-        f4 = _rhs(rho + h * f3, hmat, kc1, kc2)
-        rho = rho + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        rhos[i + 1] = rho
-    return rhos
+def _rk4_propagators(hmat, k1_tab, k2_tab, h):
+    """Classical fourth-order step of d vec(rho)/dt = L(t) vec(rho) as
+    one 4x4 matrix per step; the coefficient tables sit on the half-step
+    grid (indices 2i, 2i + 1, 2i + 2 are a step's start, middle, end)."""
+    lmat = h * _liouvillian(hmat, k1_tab, k2_tab)
+    a, b, c = lmat[:-1:2], lmat[1::2], lmat[2::2]
+    s2 = b + 0.5 * (b @ a)
+    s3 = b + 0.5 * (b @ s2)
+    s4 = c + c @ s3
+    return np.eye(4) + (a + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
+
+
+def _propagate(rho0, steps):
+    """Apply the per-step propagators in order; returns every state."""
+    vecs = np.empty((len(steps) + 1, 4), dtype=complex)
+    vecs[0] = rho0.reshape(4)
+    for i, step in enumerate(steps):
+        vecs[i + 1] = step @ vecs[i]
+    return vecs.reshape(-1, 2, 2)
 
 
 @dataclass
@@ -397,13 +423,7 @@ class MasterTrajectory:
         """Null state of the constant generator (markov mode only)."""
         if self.mode != "markov":
             raise ValueError("steady state defined for markov mode")
-        hmat = self.metadata["hmat"]
-        basis = np.eye(4, dtype=complex)
-        lmat = np.empty((4, 4), dtype=complex)
-        for col in range(4):
-            lmat[:, col] = _rhs(
-                basis[:, col].reshape(2, 2).copy(), hmat, self.k1, self.k2
-            ).reshape(4)
+        lmat = _liouvillian(self.metadata["hmat"], self.k1, self.k2)
         a = np.vstack([lmat, np.array([[1.0, 0.0, 0.0, 1.0]])])
         b = np.zeros(5, dtype=complex)
         b[4] = 1.0
@@ -417,12 +437,14 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
     """Evolve the reduced state under the memory-integral equation.
 
     mode 'markov': coefficients frozen at their half-line values
-    (constant-rate Lindblad form); trace or positivity violation raises
-    with the offending time.  mode 'finite_memory': literal int_0^t
-    coefficients from correlator tables; violations are recorded as
-    warnings, since equations of this type may transiently leave the
-    state space.  The step is halved until rho_ee changes by <= tol
-    between refinements.
+    (constant-rate Lindblad form), propagated exactly with exp(h L) on
+    the requested grid; trace or positivity violation raises
+    RuntimeError with the offending time.  mode 'finite_memory': literal
+    int_0^t coefficients from correlator tables, fourth-order steps;
+    violations are recorded as warnings, since equations of this type
+    may transiently leave the state space.  The step is halved until
+    rho_ee changes by <= tol between refinements; tol and
+    max_refinements apply to this mode only.
     """
     if mode not in ("markov", "finite_memory"):
         raise ValueError("mode must be 'markov' or 'finite_memory'")
@@ -436,37 +458,37 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
     omega_d = atom.omega0
     hmat = _hamiltonian_over_hbar(atom)
     warnings = []
+    n = int(n_steps)
 
     if mode == "markov":
+        from scipy.linalg import expm
+
         k1c, k2c = markov_coefficients(density, omega_d, spec)
+        step = expm((t_max / n) * _liouvillian(hmat, k1c, k2c))
+        rhos = _propagate(rho0, np.broadcast_to(step, (n, 4, 4)))
+    else:
+        k1c = k2c = 0.0 + 0.0j
 
-    def run(n):
-        h = t_max / n
-        if mode == "markov":
-            k1_of = lambda j: k1c  # noqa: E731
-            k2_of = lambda j: k2c  # noqa: E731
-        else:
+        def run(n):
             half_taus = np.linspace(0.0, t_max, 2 * n + 1)
-            corr = bath_correlations(density, omega_d, half_taus)
-            k1_tab, k2_tab = corr.cumulative()
-            k1_of = lambda j: k1_tab[j]  # noqa: E731
-            k2_of = lambda j: k2_tab[j]  # noqa: E731
-        return _march(rho0, hmat, k1_of, k2_of, n, h)
+            k1_tab, k2_tab = bath_correlations(
+                density, omega_d, half_taus).cumulative()
+            return _propagate(
+                rho0, _rk4_propagators(hmat, k1_tab, k2_tab, t_max / n))
 
-    n = int(n_steps)
-    rhos = run(n)
-    converged = max_refinements == 0
-    for _ in range(max_refinements):
-        finer = run(2 * n)
-        change = np.max(np.abs(finer[::2, 0, 0].real - rhos[:, 0, 0].real))
-        rhos, n = finer, 2 * n
-        if change <= tol:
-            converged = True
-            break
-    if not converged:
-        warnings.append(
-            "step refinement stopped at n=%d with rho_ee change %.3e > %.3e"
-            % (n, change, tol))
+        rhos = run(n)
+        converged = max_refinements == 0
+        for _ in range(max_refinements):
+            finer = run(2 * n)
+            change = np.max(np.abs(finer[::2, 0, 0].real - rhos[:, 0, 0].real))
+            rhos, n = finer, 2 * n
+            if change <= tol:
+                converged = True
+                break
+        if not converged:
+            warnings.append(
+                "step refinement stopped at n=%d with rho_ee change %.3e > %.3e"
+                % (n, change, tol))
 
     grid = Grid1D(0.0, float(t_max), n + 1)
     tr = np.einsum("nii->n", rhos).real
@@ -478,20 +500,20 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
     if drift > 1e-6:
         msg = "trace drift %.3e at t <= %g" % (drift, t_max)
         if mode == "markov":
-            raise ValueError(msg)
+            raise RuntimeError(msg)
         warnings.append(msg)
     if min_eig < -1e-6:
         msg = "negative eigenvalue %.3e at t = %g" % (min_eig, worst_t)
         if mode == "markov":
-            raise ValueError(msg)
+            raise RuntimeError(msg)
         warnings.append(msg)
 
-    result = MasterTrajectory(
+    return MasterTrajectory(
         grid=grid,
         rhos=rhos,
         mode=mode,
-        k1=complex(k1c) if mode == "markov" else 0.0 + 0.0j,
-        k2=complex(k2c) if mode == "markov" else 0.0 + 0.0j,
+        k1=complex(k1c),
+        k2=complex(k2c),
         n_steps_used=n,
         warnings=warnings,
         metadata={
@@ -501,4 +523,3 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
             "min_eigenvalue": min_eig,
         },
     )
-    return result

@@ -1,5 +1,5 @@
 """Shared numerical kernels: adaptive quadrature, principal values, panel
-Gauss rules, and the Volterra history march.
+Gauss rules, the delay-frequency phase sum, and the Volterra history march.
 
 All routines are deterministic: fixed node sets, fixed subdivision order,
 no randomness and no environment-dependent branching, so repeated runs
@@ -13,15 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from . import _volterra as _volterra_impl
-
-    HAVE_COMPILED_VOLTERRA = True
-except ImportError:
-    from . import _volterra_py as _volterra_impl
-
-    HAVE_COMPILED_VOLTERRA = False
 
 
 class ConvergenceError(RuntimeError):
@@ -292,8 +283,9 @@ def fourier_table(weight, a, b, taus, rotation=0.0, n_gauss=24,
     most max_phase radians of phase per panel, which keeps the fixed rule
     accurate for all rows at once.  edge_hints inserts extra panel edges
     where the weight has sharp features (narrow resonances) that the
-    uniform phase-bounded layout would step over.  The tau x node phase
-    matrix is processed in blocks to bound memory.
+    uniform phase-bounded layout would step over.  weight may return
+    shape (nodes, k) for k channels sharing one phase matrix; the table
+    then has shape (len(taus), k).
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if b <= a:
@@ -314,35 +306,57 @@ def fourier_table(weight, a, b, taus, rotation=0.0, n_gauss=24,
     hw = 0.5 * np.diff(edges)[:, None]
     nodes = (lo + hw * (x[None, :] + 1.0)).ravel()
     wts = (hw * w[None, :]).ravel()
-    fw = wts * np.asarray(weight(nodes), dtype=complex)
-    shifted = nodes - rotation
-    out = np.empty(taus.shape, dtype=complex)
+    fw = (wts * np.asarray(weight(nodes), dtype=complex).T).T
+    return phase_sum(taus, nodes - rotation, fw, block)
+
+
+def phase_sum(taus, nu, weights, block=4096):
+    """exp(-i outer(taus, nu)) @ weights, one block of delays at a time.
+
+    weights holds one value per frequency in nu, or one row of a few
+    columns (e.g. two bath channels sharing the phase matrix).  Blocking
+    bounds the phase matrix at block x len(nu) entries.
+    """
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    nu = np.asarray(nu, dtype=float)
+    out = np.empty(taus.shape + np.shape(weights)[1:], dtype=complex)
     for i in range(0, taus.size, block):
-        chunk = taus[i:i + block]
-        out[i:i + block] = np.exp(-1j * np.outer(chunk, shifted)) @ fw
+        out[i:i + block] = np.exp(-1j * np.outer(taus[i:i + block], nu)) @ weights
     return out
 
 
-def volterra_march(kernel, h, y0=1.0 + 0.0j, blowup=10.0, backend=None):
+def volterra_march(kernel, h, y0=1.0 + 0.0j, blowup=10.0):
     """March y'(t) = int_0^t K(t - s) y(s) ds on a uniform grid.
 
     kernel holds K(i h) for i = 0..N; returns y at the same nodes.
-    Product-trapezoid predictor-corrector, second order in h.  backend
-    selects 'compiled' or 'python' explicitly (default: compiled when
-    available).  Raises RuntimeError if |y| exceeds blowup, which almost
-    always means the step is too large for the kernel bandwidth.
+    Product-trapezoid predictor-corrector, second order in h.  Raises
+    RuntimeError if |y| exceeds blowup, which almost always means the
+    step is too large for the kernel bandwidth.
     """
-    kernel = np.ascontiguousarray(kernel, dtype=complex)
-    if kernel.ndim != 1 or kernel.size < 2:
+    k = np.ascontiguousarray(kernel, dtype=complex)
+    if k.ndim != 1 or k.size < 2:
         raise ValueError("kernel must be a 1-d array with >= 2 samples")
-    if backend is None:
-        impl = _volterra_impl
-    elif backend == "python":
-        from . import _volterra_py as impl
-    elif backend == "compiled":
-        if not HAVE_COMPILED_VOLTERRA:
-            raise RuntimeError("compiled volterra backend not available")
-        impl = _volterra_impl
-    else:
-        raise ValueError("backend must be None, 'python' or 'compiled'")
-    return impl.march(kernel, float(h), complex(y0), float(blowup))
+    h = float(h)
+    n = k.size - 1
+    y = np.empty(n + 1, dtype=complex)
+    y[0] = complex(y0)
+    krev = k[::-1].copy()
+
+    # memory integral at the current node, maintained incrementally
+    hist = 0.0 + 0.0j  # H_0 = 0, empty integral
+    half_k0 = 0.5 * k[0]
+    for i in range(n):
+        ypred = y[i] + h * hist
+        # trapezoid sum for t_{i+1}: endpoints get half weight
+        s = 0.5 * k[i + 1] * y[0]
+        if i >= 1:
+            s += np.dot(krev[n - i:n], y[1:i + 1])
+        hstar = h * (s + half_k0 * ypred)
+        y[i + 1] = y[i] + 0.5 * h * (hist + hstar)
+        if abs(y[i + 1]) > blowup:
+            raise RuntimeError(
+                "volterra march diverged at step %d (|y| = %.3g); "
+                "reduce the time step" % (i + 1, abs(y[i + 1]))
+            )
+        hist = hstar + h * half_k0 * (y[i + 1] - ypred)
+    return y

@@ -172,3 +172,40 @@ def test_ww_summary_and_files(tmp_path):
     env = json.loads((out / "ww-vac_envelope.json").read_text())
     assert sorted(env["files"]) == ["ww-vac_ww.csv", "ww-vac_ww_summary.json"]
     assert env["summary"]["fit_gamma"] == summary["fit_gamma"]
+
+
+def _assert_numeric_failure(code, capsys):
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"]["kind"] == "convergence"
+    return payload
+
+
+def test_ww_step_too_coarse_exits_numeric(tmp_path, capsys):
+    payload = ww_scenario(name="ww-coarse")
+    payload["atom"]["dipole"] = [0.0, 0.0, 20.0]
+    payload["time"]["n_steps"] = 10
+    cfg = write_scenario(tmp_path / "coarse.json", payload)
+    code = run(["ww", "--config", cfg, "--out", tmp_path / "out", "--quiet"])
+    err = _assert_numeric_failure(code, capsys)
+    assert "volterra march" in err["error"]["message"]
+
+
+def test_markov_master_negative_rate_exits_numeric(tmp_path, capsys,
+                                                   monkeypatch):
+    from greenmodes import master
+
+    payload = ww_scenario(name="master-gain")
+    del payload["kernel"], payload["time"]
+    payload["bath"] = {"route": "lna", "omega_max": 2.0}
+    payload["evolution"] = {"mode": "markov", "t_max": 20.0, "n_steps": 100}
+    cfg = write_scenario(tmp_path / "gain.json", payload)
+    monkeypatch.setattr(master, "markov_coefficients",
+                        lambda density, omega_d, spec=None: (-0.05 + 0j, 0j))
+    code = run(["master", "--config", cfg, "--out", tmp_path / "out",
+                "--quiet"])
+    err = _assert_numeric_failure(code, capsys)
+    assert err["error"]["type"] == "RuntimeError"
+    assert "negative eigenvalue" in err["error"]["message"]

@@ -10,7 +10,6 @@ import pytest
 from scipy import special
 
 from greenmodes import (
-    HAVE_COMPILED_VOLTERRA,
     ConvergenceError,
     Grid1D,
     QuadratureSpec,
@@ -21,7 +20,7 @@ from greenmodes import (
     sommerfeld_radial,
     volterra_march,
 )
-from greenmodes.numerics import fourier_table
+from greenmodes.numerics import fourier_table, phase_sum
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
 
@@ -169,6 +168,25 @@ def test_fourier_table_edge_hints_resolve_narrow_line():
     assert np.isfinite(out).all()
 
 
+def test_phase_sum_blocks_match_dense_product(rng):
+    # 4096-row blocks: rows either side of the first boundary must equal
+    # the unblocked product, and two weight columns equal two single calls
+    taus = np.linspace(0.0, 30.0, 4100)
+    nu = rng.uniform(-2.0, 2.0, size=37)
+    w = rng.normal(size=(37, 2)) + 1j * rng.normal(size=(37, 2))
+    got = phase_sum(taus, nu, w[:, 0])
+    dense = np.exp(-1j * np.outer(taus, nu)) @ w[:, 0]
+    rows = slice(4090, 4100)
+    scale = np.max(np.abs(dense[rows]))
+    assert np.max(np.abs(got[rows] - dense[rows])) <= 1e-14 * scale
+    both = phase_sum(taus, nu, w)
+    assert both.shape == (4100, 2)
+    for col in range(2):
+        single = phase_sum(taus, nu, w[:, col])
+        scale = np.max(np.abs(single))
+        assert np.max(np.abs(both[:, col] - single)) <= 1e-14 * scale
+
+
 # -- grid and volterra -----------------------------------------------------
 
 
@@ -214,17 +232,6 @@ def test_volterra_second_order_convergence():
         y = volterra_march(kern, grid.h)
         errs.append(np.max(np.abs(y - flat_kernel_solution(g, grid.points))))
     assert errs[0] / errs[1] >= 3.5
-
-
-def test_volterra_backends_agree():
-    if not HAVE_COMPILED_VOLTERRA:
-        pytest.skip("compiled extension not built")
-    grid = Grid1D(0.0, 8.0, 2001)
-    kern = -np.exp(1j * 0.3 * grid.points) * np.cos(0.9 * grid.points)
-    y_c = volterra_march(kern, grid.h, backend="compiled")
-    y_py = volterra_march(kern, grid.h, backend="python")
-    # same algorithm, different summation order: agreement to roundoff scale
-    assert np.max(np.abs(y_c - y_py)) < 1e-10
 
 
 def test_volterra_blowup_guard():
