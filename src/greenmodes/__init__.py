@@ -25,6 +25,7 @@ from .greens import (
     BulkClosedForm,
     BulkSommerfeld,
     CavityModeSum,
+    ResonanceError,
     bulk_green,
     bulk_green_sommerfeld,
     cavity_green,

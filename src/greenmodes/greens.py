@@ -53,20 +53,24 @@ def bulk_green(r, r0, omega, eps, const=None):
 def im_green_coincidence(omega, eps, const=None):
     """Coincidence limit of Im G for a lossless medium: (sqrt(eps) w/6 pi c) I.
 
-    In a lossy medium Im G diverges at coincidence, so Im eps > 0 raises.
+    omega and eps broadcast; a scalar pair gives (3, 3), arrays give
+    (..., 3, 3).  In a lossy medium Im G diverges at coincidence, so
+    Im eps > 0 raises.
     """
     const = const or Constants.natural()
-    eps = complex(eps)
-    if eps.imag != 0.0:
+    omega = np.asarray(omega, dtype=float)
+    eps = np.asarray(eps, dtype=complex)
+    if np.any(eps.imag != 0.0):
         raise ValueError(
             "Im G diverges at coincidence inside a lossy medium; "
             "only the lossless limit is finite"
         )
-    if eps.real <= 0.0:
+    if np.any(eps.real <= 0.0):
         raise ValueError("need eps > 0 for a propagating coincidence limit")
-    if omega <= 0.0:
+    if np.any(omega <= 0.0):
         raise ValueError("need omega > 0")
-    return (np.sqrt(eps.real) * omega / (6.0 * np.pi * const.c)) * I3.copy()
+    scale = np.sqrt(eps.real) * omega / (6.0 * np.pi * const.c)
+    return scale[..., None, None] * I3
 
 
 def default_k_max(k, lateral, dz, multiplier=30.0):
@@ -134,28 +138,38 @@ def bulk_green_sommerfeld(r, r0, omega, eps, spec=None, k_max=None, const=None):
     return rot @ g_local @ rot.T
 
 
+class ResonanceError(RuntimeError):
+    """An unsoftened mode sum was evaluated on one of its poles."""
+
+
 def cavity_green(r, r0, omega, modeset, eta=0.0):
     """Truncated mode-sum Green tensor with optional pole softening.
 
     G = c^2 sum_k E_k(r) E_k(r0)^T / (w_k^2 - w^2 - i eta w).  Real mode
     fields make each term symmetric under (r, r0) exchange + transpose.
-    Truncation is bounded by modeset.omega_top; callers should keep
-    |omega| well below it.
+    omega may be an array: the mode fields are evaluated once and the
+    result has shape omega.shape + (3, 3).  With eta = 0 a frequency on
+    a mode line raises ResonanceError.  Truncation is bounded by
+    modeset.omega_top; callers should keep |omega| well below it.
     """
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
     geom = modeset.geometry
     if not (geom.contains(r) and geom.contains(r0)):
         raise ValueError("points must lie inside the cavity")
-    denom = modeset.omegas**2 - omega**2 - 1j * eta * omega
-    if eta == 0.0 and float(np.min(np.abs(denom))) <= 1e-12 * omega**2:
-        raise ValueError(
+    omega = np.asarray(omega, dtype=float)
+    w = omega[..., None]
+    denom = modeset.omegas**2 - w**2 - 1j * eta * w
+    if eta == 0.0 and np.any(
+            np.min(np.abs(denom), axis=-1) <= 1e-12 * omega**2):
+        raise ResonanceError(
             "frequency hits a cavity resonance; use eta > 0 to soften the pole"
         )
     fr = modeset.eval_all(r)
-    f0 = modeset.eval_all(r0)
-    c2 = modeset.const.c**2
-    return c2 * np.einsum("m,mi,mj->ij", 1.0 / denom, fr, f0)
+    f0 = fr if np.array_equal(r3(r), r3(r0)) else modeset.eval_all(r0)
+    pairs = (fr[:, :, None] * f0[:, None, :]).reshape(len(fr), 9)
+    g = modeset.const.c**2 * ((1.0 / denom) @ pairs)
+    return g.reshape(omega.shape + (3, 3))
 
 
 class GreenEvaluator:
@@ -165,7 +179,12 @@ class GreenEvaluator:
         raise NotImplementedError
 
     def im_coincidence(self, r, omega):
-        """Im G(r, r, omega); defined only where the limit is finite."""
+        """Im G(r, r, omega); defined only where the limit is finite.
+
+        A scalar omega gives (3, 3); a 1-d array of n frequencies gives
+        (n, 3, 3) from one batched evaluation, equal to the stacked
+        scalar calls.
+        """
         raise NotImplementedError
 
 
@@ -233,5 +252,4 @@ class CavityModeSum(GreenEvaluator):
             raise ValueError(
                 "mode-sum Im G at coincidence needs eta > 0 (discrete poles)"
             )
-        g = self.evaluate(r, r, omega)
-        return g.imag
+        return self.evaluate(r, r, omega).imag

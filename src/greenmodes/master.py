@@ -134,11 +134,12 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
     """J(omega) = (omega^2/c^2) gamma . Im G(r0, r0, omega) . gamma / (pi hbar eps0).
 
     Continuous by default, sampled through the backend's coincidence
-    Im G; a softened mode-sum backend gets panel edges at its lines so
-    tabulations do not step over them, and a lossy medium at the atom
-    position raises through the backend.  analytic_limit=True needs a
-    cavity mode-sum backend and returns the discrete line masses instead
-    (the vanishing-softening limit taken analytically, line by line).
+    Im G, one batched call per node array; a softened mode-sum backend
+    gets panel edges at its lines so tabulations do not step over them,
+    and a lossy medium at the atom position raises through the backend.
+    analytic_limit=True needs a cavity mode-sum backend and returns the
+    discrete line masses instead (the vanishing-softening limit taken
+    analytically, line by line).
     """
     spec = spec or QuadratureSpec()
     modeset = getattr(green, "modeset", None)
@@ -168,12 +169,9 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
     pref = 1.0 / (np.pi * const.hbar * const.eps0)
 
     def sampler(omega):
-        omega = np.atleast_1d(omega)
-        out = np.empty(omega.shape, dtype=float)
-        for i, w in enumerate(omega):
-            img = green.im_coincidence(r0, float(w))
-            out[i] = pref * (w**2 / const.c**2) * float(gamma @ img @ gamma)
-        return out
+        omega = np.atleast_1d(np.asarray(omega, dtype=float))
+        img = green.im_coincidence(r0, omega)
+        return pref * (omega**2 / const.c**2) * (gamma @ img @ gamma)
 
     hints = None
     eta = getattr(green, "eta", 0.0)

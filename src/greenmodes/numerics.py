@@ -285,7 +285,9 @@ def fourier_table(weight, a, b, taus, rotation=0.0, n_gauss=24,
     where the weight has sharp features (narrow resonances) that the
     uniform phase-bounded layout would step over.  weight may return
     shape (nodes, k) for k channels sharing one phase matrix; the table
-    then has shape (len(taus), k).
+    then has shape (len(taus), k).  The weight is sampled once, on the
+    whole node array; the transform is phase_sum, which factors it on a
+    uniform delay grid.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if b <= a:
@@ -311,17 +313,80 @@ def fourier_table(weight, a, b, taus, rotation=0.0, n_gauss=24,
 
 
 def phase_sum(taus, nu, weights, block=4096):
-    """exp(-i outer(taus, nu)) @ weights, one block of delays at a time.
+    """exp(-i outer(taus, nu)) @ weights, factored on uniform delay grids.
 
     weights holds one value per frequency in nu, or one row of a few
-    columns (e.g. two bath channels sharing the phase matrix).  Blocking
-    bounds the phase matrix at block x len(nu) entries.
+    columns (e.g. two bath channels sharing the phase matrix).
+
+    The delays are split as tau_{qB+r} = base_q + off_r + delta_{qB+r}
+    with base_q = tau_{qB}, off_r = tau_r - tau_0 and B = ceil(sqrt(n)),
+    so the transform is the product (exp(-i base nu)) @ (exp(-i off nu)
+    * weights)^T: one complex GEMM over O(sqrt(n) len(nu)) exponentials
+    instead of n len(nu).  Each phase product t nu is formed exactly as
+    p + e (Veltkamp's split) and enters as exp(-i p)(1 - i e), and the
+    residual delta enters to first order, -i delta sum(... nu weights),
+    through the same GEMM.  B > 1 is used only when max|delta| max|nu|
+    <= 2^-26, where the dropped (delta nu)^2 / 2 is below the unit
+    roundoff; otherwise (a non-uniform grid) B = 1, base = taus, and
+    the product is the plain dense one.  block bounds the base rows
+    transformed at once, so the phase matrix has at most block x
+    len(nu) entries.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     nu = np.asarray(nu, dtype=float)
-    out = np.empty(taus.shape + np.shape(weights)[1:], dtype=complex)
-    for i in range(0, taus.size, block):
-        out[i:i + block] = np.exp(-1j * np.outer(taus[i:i + block], nu)) @ weights
+    cols = np.asarray(weights, dtype=complex).reshape(nu.size, -1)
+    k = cols.shape[1]
+    base, off, delta = _delay_split(taus.ravel(), nu)
+    n_off = off.size
+    # weights and nu * weights for each offset row, laid out (nu, off, col)
+    w_off = _phases(off, nu).T[:, :, None] * np.concatenate(
+        [cols, nu[:, None] * cols], axis=1)[:, None, :]
+    w_off = w_off.reshape(nu.size, 2 * n_off * k)
+    out = np.empty((base.size * n_off, 2 * k), dtype=complex)
+    for i in range(0, base.size, block):
+        rows = slice(i * n_off, (i + block) * n_off)
+        out[rows] = (_phases(base[i:i + block], nu) @ w_off).reshape(-1, 2 * k)
+    out = out[:taus.size]
+    out = out[:, :k] - 1j * delta[:, None] * out[:, k:]
+    return out.reshape(taus.shape + np.shape(weights)[1:])
+
+
+def _delay_split(taus, nu):
+    """(base, off, delta) with taus[q B + r] = base[q] + off[r] + delta,
+    B > 1 when the first-order delta term is exact to rounding."""
+    b = int(np.ceil(np.sqrt(taus.size)))
+    if b > 1:
+        idx = np.arange(taus.size)
+        base = taus[::b]
+        off = taus[:b] - taus[0]
+        delta = (taus - base[idx // b]) - off[idx % b]
+        if np.max(np.abs(delta)) * np.max(np.abs(nu), initial=0.0) <= 2.0**-26:
+            return base, off, delta
+    return taus, np.zeros(1), np.zeros(taus.size)
+
+
+def _split(x):
+    """Veltkamp split x = hi + lo with 26-bit halves, so products of
+    halves are exact in double precision."""
+    t = 134217729.0 * x  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _phases(t, nu):
+    """exp(-i outer(t, nu)) to rounding: outer(t, nu) = p + e exactly
+    (Dekker's product) and the rounding error e is applied to first
+    order, exp(-i p) (1 - i e)."""
+    p = np.multiply.outer(t, nu)
+    th, tl = _split(t)
+    nh, nl = _split(nu)
+    e = np.multiply.outer(th, nh)
+    e -= p
+    e += np.multiply.outer(th, nl)
+    e += np.multiply.outer(tl, nh)
+    e += np.multiply.outer(tl, nl)
+    out = np.exp(-1j * p)
+    out *= 1.0 - 1j * e
     return out
 
 

@@ -209,3 +209,19 @@ def test_markov_master_negative_rate_exits_numeric(tmp_path, capsys,
     err = _assert_numeric_failure(code, capsys)
     assert err["error"]["type"] == "RuntimeError"
     assert "negative eigenvalue" in err["error"]["message"]
+
+
+def test_cavity_resonance_without_softening_exits_numeric(tmp_path, capsys):
+    # omega = pi sqrt(2) is the (1, 1, 0) line of the unit cube; eta = 0
+    # leaves the pole unsoftened
+    payload = cube_scenario(name="cube-resonance", n_max=3)
+    payload["geometry"]["eta"] = 0.0
+    payload["evaluation"] = {"points": [[0.3, 0.4, 0.5]],
+                             "sources": [[0.5, 0.5, 0.5]],
+                             "frequencies": [np.pi * np.sqrt(2.0)]}
+    cfg = write_scenario(tmp_path / "resonance.json", payload)
+    code = run(["green", "--config", cfg, "--out", tmp_path / "out",
+                "--quiet"])
+    err = _assert_numeric_failure(code, capsys)
+    assert err["error"]["type"] == "ResonanceError"
+    assert "resonance" in err["error"]["message"]

@@ -14,6 +14,7 @@ from greenmodes import (
     BulkSommerfeld,
     CavityModeSum,
     ConstantScalar,
+    DrudeLorentz,
     QuadratureSpec,
     bulk_green,
     bulk_green_sommerfeld,
@@ -183,6 +184,39 @@ def test_mode_sum_coincidence_passivity(cube_modeset):
         m = backend.im_coincidence(r, w)
         eig = np.linalg.eigvalsh(0.5 * (m + m.T.conj()))
         assert eig.min() >= -1e-12 * max(abs(eig).max(), 1e-30)
+
+
+@pytest.mark.parametrize("backend_name", ["bulk", "mode_sum"])
+def test_im_coincidence_batched_equals_scalar_calls(backend_name,
+                                                    cube_modeset):
+    if backend_name == "bulk":
+        backend = BulkClosedForm(DrudeLorentz(2.25, [(0.8, 3.0, 0.0)]))
+        omegas = np.linspace(0.1, 2.5, 9)
+    else:
+        backend = CavityModeSum(cube_modeset, eta=1e-2)
+        omegas = np.linspace(2.0, 0.95 * cube_modeset.omega_top, 9)
+    r = np.array([0.43, 0.51, 0.47])
+    batched = backend.im_coincidence(r, omegas)
+    assert batched.shape == (9, 3, 3)
+    stacked = np.stack([backend.im_coincidence(r, w) for w in omegas])
+    assert backend.im_coincidence(r, omegas[3]).shape == (3, 3)
+    scale = np.max(np.abs(stacked), axis=(1, 2))
+    assert np.all(np.max(np.abs(batched - stacked), axis=(1, 2))
+                  <= 1e-13 * scale)
+
+
+def test_im_coincidence_batched_rejects_bad_input(cube_modeset):
+    r = np.array([0.43, 0.51, 0.47])
+    omegas = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        CavityModeSum(cube_modeset, eta=0.0).im_coincidence(r, omegas)
+    vacuum = BulkClosedForm(ConstantScalar(1.0))
+    with pytest.raises(ValueError):
+        vacuum.im_coincidence(r, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError):
+        vacuum.im_coincidence(r, np.array([1.0, -2.0]))
+    with pytest.raises(ValueError):
+        BulkClosedForm(ConstantScalar(2.0 + 0.1j)).im_coincidence(r, omegas)
 
 
 def test_cavity_green_function_wrapper(cube_modeset):

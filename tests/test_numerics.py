@@ -7,6 +7,8 @@ literals; the suite must not regenerate them.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from greenmodes import (
@@ -185,6 +187,69 @@ def test_phase_sum_blocks_match_dense_product(rng):
         single = phase_sum(taus, nu, w[:, col])
         scale = np.max(np.abs(single))
         assert np.max(np.abs(both[:, col] - single)) <= 1e-14 * scale
+
+
+def _phase_sum_long_double(taus, nu, weights):
+    """exp(-i outer(taus, nu)) @ weights in np.longdouble arithmetic."""
+    ph = np.multiply.outer(taus.astype(np.longdouble), nu.astype(np.longdouble))
+    c, s = np.cos(ph), np.sin(ph)
+    wr = weights.real.astype(np.longdouble)
+    wi = weights.imag.astype(np.longdouble)
+    return c @ wr + s @ wi, c @ wi - s @ wr
+
+
+# phase_sum and the dense product must both stay within
+# PHASE_SUM_C * eps * max(1, max|tau nu|) * sum|w| of the long-double
+# value: each phase is rounded at ~eps |tau nu|, each sum at ~eps sum|w|
+PHASE_SUM_C = 4.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    n=st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 300)),
+    t0=st.sampled_from([-37.5, 0.0, 12.25]),
+    h=st.floats(1e-3, 0.5),
+    n_nu=st.integers(1, 30),
+    n_cols=st.sampled_from([0, 1, 2]),
+    jitter=st.sampled_from([0.0, 1e-11, 0.3]),
+    block=st.sampled_from([4, 4096]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_sum_matches_long_double_reference(n, t0, h, n_nu, n_cols,
+                                                 jitter, block, seed):
+    # uniform grids either side of zero, sizes 1-3 and non-square n, base
+    # rows above block, one or two weight columns; a 1e-11 jitter keeps
+    # the factored path with its first-order delay term, a 0.3 h jitter
+    # makes the grid non-uniform
+    rng = np.random.default_rng(seed)
+    taus = t0 + h * np.arange(n) + jitter * h * rng.uniform(-1.0, 1.0, n)
+    nu = rng.uniform(-20.0, 20.0, n_nu)
+    shape = (n_nu,) + ((n_cols,) if n_cols else ())
+    w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = phase_sum(taus, nu, w, block=block)
+    assert got.shape == (n,) + shape[1:]
+    dense = np.exp(-1j * np.outer(taus, nu)) @ w
+    re, im = _phase_sum_long_double(taus, nu, w)
+    eps = np.finfo(float).eps
+    bound = PHASE_SUM_C * eps * max(1.0, float(np.max(np.abs(
+        np.outer(taus, nu))))) * np.sum(np.abs(w), axis=0)
+    for approx in (got, dense):
+        err = np.hypot((approx.real - re).astype(float),
+                       (approx.imag - im).astype(float))
+        assert np.all(err <= bound)
+
+
+def test_phase_sum_phases_are_exact_on_a_uniform_grid(rng):
+    # |tau nu| reaches 6000: rounding each phase, as the dense product
+    # does, costs ~300 eps sum|w| here; the error-free phase products
+    # keep phase_sum at rounding of the sum alone
+    taus = np.linspace(0.0, 300.0, 4001)
+    nu = rng.uniform(-20.0, 20.0, 40)
+    w = rng.normal(size=40) + 1j * rng.normal(size=40)
+    re, im = _phase_sum_long_double(taus, nu, w)
+    got = phase_sum(taus, nu, w)
+    err = np.hypot((got.real - re).astype(float), (got.imag - im).astype(float))
+    assert np.max(err) <= 8.0 * np.finfo(float).eps * np.sum(np.abs(w))
 
 
 # -- grid and volterra -----------------------------------------------------
