@@ -60,27 +60,38 @@ def make_report(lhs, rhs, metadata=None, extras=None):
 # versus the direct half-frequency-weighted mode sum
 
 
-def _lorentzian_weight_integral(omega_k, eta, omega_max, spec):
-    """(1/pi) int_0^W  w^3 eta / ((w_k^2 - w^2)^2 + eta^2 w^2) dw.
+def _lorentzian_weights(omegas, eta, omega_max, spec):
+    """(1/pi) int_0^W  w^3 eta / ((w_k^2 - w^2)^2 + eta^2 w^2) dw for
+    each w_k in omegas, with the G7-K15 error estimate of the pieces.
 
     This is the per-mode scalar left after pulling the mode dyad out of
-    the frequency integral; its eta -> 0 limit is w_k / 2.
+    the frequency integral; its eta -> 0 limit is w_k / 2.  Each w_k's
+    range is cut at 0, w_k -+ 50 eta, w_k -+ 5 eta, w_k and W; every
+    piece [lo, hi] is mapped onto t in [0, 1], and all pieces are the
+    components of one vector integrand, so one adaptive call covers them
+    all.  The pieces are summed back per frequency.
     """
+    owner, lo, hi = [], [], []
+    for k, w in enumerate(omegas):
+        edges = [0.0]
+        for e in (w - 50 * eta, w - 5 * eta, w, w + 5 * eta, w + 50 * eta):
+            if edges[-1] < e < omega_max:
+                edges.append(e)
+        edges.append(omega_max)
+        owner += [k] * (len(edges) - 1)
+        lo += edges[:-1]
+        hi += edges[1:]
+    lo = np.array(lo)
+    width = np.array(hi) - lo
+    wk2 = np.asarray(omegas, dtype=float)[owner] ** 2
 
-    def f(w):
-        return w**3 * eta / ((omega_k**2 - w**2) ** 2 + eta**2 * w**2)
+    def f(t):
+        w = lo + t[:, None] * width
+        return width * w**3 * eta / ((wk2 - w**2) ** 2 + eta**2 * w**2)
 
-    edges = [0.0]
-    for e in (omega_k - 50 * eta, omega_k - 5 * eta, omega_k,
-              omega_k + 5 * eta, omega_k + 50 * eta):
-        if edges[-1] < e < omega_max:
-            edges.append(e)
-    edges.append(omega_max)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, _ = integrate_adaptive(f, lo, hi, spec)
-        total += float(v)
-    return total / np.pi
+    pieces, err = integrate_adaptive(f, 0.0, 1.0, spec)
+    per_omega = np.bincount(owner, weights=pieces, minlength=len(omegas))
+    return per_omega / np.pi, err / np.pi
 
 
 def check_conversion_p1(modeset, r, r0, spec=None, eta=None, omega_max=None,
@@ -92,7 +103,12 @@ def check_conversion_p1(modeset, r, r0, spec=None, eta=None, omega_max=None,
     lhs_path 'analytic' replaces each per-mode frequency integral by its
     exact eta -> 0 limit w_k/2, making lhs equal rhs to rounding; the
     default 'softened' path integrates numerically, so the residual
-    measures softening plus truncation error (linear in eta).
+    measures softening plus truncation error (linear in eta).  The
+    softened path groups degenerate modes by frequency and integrates
+    the scalar weights of all frequencies in one adaptive call (see
+    _lorentzian_weights); metadata quad_error is that call's G7-K15
+    error estimate over pi (0.0 on the analytic path, which has no
+    quadrature).
     """
     spec = spec or QuadratureSpec()
     if eta is None:
@@ -111,16 +127,15 @@ def check_conversion_p1(modeset, r, r0, spec=None, eta=None, omega_max=None,
 
     if lhs_path == "analytic":
         weights = omegas / 2.0
+        quad_error = 0.0
     else:
         if eta <= 0.0:
             raise ValueError("softened path needs eta > 0")
         # degenerate shells share the scalar integral; group by frequency
         rounded = np.round(omegas, 9)
         uniq, inverse = np.unique(rounded, return_inverse=True)
-        per_uniq = np.array([
-            _lorentzian_weight_integral(float(w), eta, omega_max, spec)
-            for w in uniq
-        ])
+        per_uniq, quad_error = _lorentzian_weights(uniq, eta, omega_max,
+                                                   spec)
         weights = per_uniq[inverse]
     lhs = np.einsum("m,mi,mj->ij", weights, fr, f0)
 
@@ -130,6 +145,7 @@ def check_conversion_p1(modeset, r, r0, spec=None, eta=None, omega_max=None,
         "n_modes": len(modeset),
         "omega_top": modeset.omega_top,
         "lhs_path": lhs_path,
+        "quad_error": quad_error,
     }
     return make_report(lhs, rhs, meta)
 
@@ -312,7 +328,10 @@ def check_magic_formula(green, eps_model, r, r0, omega, spec=None,
     collapses analytically, an exclusion ball of radius exclusion_radius
     (default 0.5 / Re k) removes the divergent core, and the reference
     value is the lossless coincidence limit, which the excluded lhs
-    approaches as the loss goes to zero.
+    approaches as the loss goes to zero.  That path integrates the
+    radial profile adaptively and reports its G7-K15 error estimate,
+    times the lhs prefactor, as metadata quad_error; the generic path
+    uses fixed product rules and has no such estimate.
     """
     spec = spec or QuadratureSpec()
     const = getattr(green, "const", None) or Constants.natural()
@@ -339,7 +358,7 @@ def check_magic_formula(green, eps_model, r, r0, omega, spec=None,
                 + (2.0 * np.real(a_c * np.conj(b_c)) + np.abs(b_c) ** 2) / 3.0
             )
 
-        val, _ = integrate_adaptive(radial, b, r_cut, spec)
+        val, err = integrate_adaptive(radial, b, r_cut, spec)
         lhs = pref * float(val) * I3
         rhs = im_green_coincidence(omega, eps.real, const)
         meta = {
@@ -348,6 +367,7 @@ def check_magic_formula(green, eps_model, r, r0, omega, spec=None,
             "r_cut": float(r_cut),
             "im_eps": im_eps,
             "lhs_psd": is_psd(lhs),
+            "quad_error": pref * err,
         }
         return make_report(lhs, rhs, meta)
 
@@ -566,6 +586,8 @@ def check_appendix_lossless_limit(r, r0, omega, spec=None, const=None,
     evaluated literally and is analytically zero entry by entry (the
     imaginary part of a lossless Green tensor is purely propagating), so
     it is reported in extras rather than fought over numerically.
+    metadata quad_error is the sum of both sectors' G7-K15 error
+    estimates over 8 pi^2, the scale of lhs.
     """
     spec = spec or QuadratureSpec()
     const = const or Constants.natural()
@@ -576,14 +598,14 @@ def check_appendix_lossless_limit(r, r0, omega, spec=None, const=None,
         raise ValueError("coincidence limit: use im_green_coincidence")
     prop, evan = _planar_im_integrand_pieces(omega, lateral, dz, const)
 
-    val, _ = integrate_adaptive(prop, 0.0, 0.5 * np.pi, spec)
+    val, err = integrate_adaptive(prop, 0.0, 0.5 * np.pi, spec)
     lhs_local = val / (8.0 * np.pi**2)
 
     if mu_max is None:
         k = omega / const.c
         scale = max(abs(dz), lateral if lateral > 0.0 else abs(dz))
         mu_max = float(np.arccosh((30.0 * k + 40.0 / scale) / k))
-    evan_val, _ = integrate_adaptive(evan, 0.0, mu_max, spec)
+    evan_val, evan_err = integrate_adaptive(evan, 0.0, mu_max, spec)
     evan_local = evan_val / (8.0 * np.pi**2)
 
     phi = np.arctan2(dy, dx)
@@ -596,6 +618,7 @@ def check_appendix_lossless_limit(r, r0, omega, spec=None, const=None,
         "lateral": lateral,
         "dz": float(dz),
         "evanescent_max_abs": max_abs(evan_local),
+        "quad_error": (err + evan_err) / (8.0 * np.pi**2),
     }
     extras = {"evanescent_term": rot @ evan_local @ rot.T}
     return make_report(lhs, rhs, meta, extras)

@@ -6,7 +6,10 @@ no randomness and no environment-dependent branching, so repeated runs
 produce bitwise identical results.  Integrands are evaluated vectorized:
 f(x) receives a 1-d array of nodes and must return an array whose leading
 axis matches x; trailing axes (tensor components) are integrated
-componentwise with the error taken as the max over components.
+componentwise with the error taken as the max over components.  The
+adaptive rule refines level by level: each bisection round evaluates all
+of its new panels in one call to f, and its tolerance scales with the
+running global estimate.
 """
 
 import warnings
@@ -122,68 +125,84 @@ _W7[7] = _WG[3]
 _W7[9:15:2] = _WG[:3][::-1]
 
 
-def _gk15_panel(f, a, b):
-    c = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    fx = np.asarray(f(c + hw * _NODES))
-    gk = hw * np.tensordot(_W15, fx, axes=(0, 0))
-    g7 = hw * np.tensordot(_W7, fx, axes=(0, 0))
-    err = float(np.max(np.abs(gk - g7)))
+# both rules as the two columns of one weight matrix
+_W = np.stack([_W15, _W7], axis=1)
+
+# panels per integrand call; a wider round is evaluated in slices
+_ROUND_PANELS = 64
+
+
+def _gk15(f, lo, hi):
+    """K15 values and G7-K15 error estimates of f on the panels [lo, hi].
+
+    All nodes go to f in one call per _ROUND_PANELS panels; the error of
+    a panel is the max over the integrand's components.
+    """
+    hw = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi)[:, None] + hw[:, None] * _NODES).ravel()
+    step = 15 * _ROUND_PANELS
+    fx = np.concatenate([np.asarray(f(x[i:i + step]))
+                         for i in range(0, x.size, step)])
+    fx = fx.reshape((lo.size, 15) + fx.shape[1:])
+    rules = np.tensordot(fx, _W, axes=(1, 0))
+    rules *= hw.reshape((-1,) + (1,) * (rules.ndim - 1))
+    gk = rules[..., 0]
+    err = np.abs(gk - rules[..., 1]).reshape(lo.size, -1).max(axis=1)
     return gk, err
 
 
 def integrate_adaptive(f, a, b, spec=None):
     """Adaptive Gauss-Kronrod 15(7) integration of f over [a, b].
 
-    Depth-first bisection with a per-interval tolerance budget proportional
-    to interval length.  Returns (value, error_bound); raises
+    Level-synchronous bisection.  Each round accepts every panel whose
+    G7-K15 error estimate is within its share of the tolerance,
+    tol * width / (b - a), or whose width has reached the rounding floor,
+    bisects all the others, and evaluates their children in one call to
+    f.  tol = abs_tol + rel_tol * |estimate|, where the estimate is the
+    running global one (accepted plus active panels).  Returns
+    (value, error_bound); error_bound is the sum of the accepted panels'
+    G7-K15 estimates, an estimate rather than a rigorous bound.  Raises
     ConvergenceError (with .estimate / .error_bound attached) when the
-    subdivision budget runs out before the tolerance is met.
+    next round would exceed max_subdivisions panels.
     """
     spec = spec or QuadratureSpec()
     a = float(a)
     b = float(b)
     if b <= a:
         raise ValueError("integrate_adaptive needs b > a")
-    val0, err0 = _gk15_panel(f, a, b)
-    scale = max(float(np.max(np.abs(val0))), 1e-300)
-    tol = spec.abs_tol + spec.rel_tol * scale
-    if err0 <= tol:
-        return val0, err0
-
-    total = np.zeros_like(val0)
-    total_err = 0.0
-    n_panels = 1
-    # stack entries: (lo, hi, panel value, panel error); LIFO keeps the
-    # refinement order independent of intermediate results
-    stack = [(a, b, val0, err0)]
     span = b - a
-    while stack:
-        lo, hi, val, err = stack.pop()
-        local_tol = tol * (hi - lo) / span
-        width_floor = (hi - lo) <= 1e-14 * (abs(lo) + abs(hi) + 1.0)
-        if err <= local_tol or width_floor:
-            total = total + val
-            total_err += err
-            continue
-        if n_panels >= spec.max_subdivisions:
-            est = total + val + sum(e[2] for e in stack)
-            bound = total_err + err + sum(e[3] for e in stack)
+    lo = np.array([a])
+    hi = np.array([b])
+    val, err = _gk15(f, lo, hi)
+    n_panels = 1
+    total = 0.0
+    total_err = 0.0
+    while True:
+        estimate = total + val.sum(axis=0)
+        scale = max(float(np.max(np.abs(estimate))), 1e-300)
+        tol = spec.abs_tol + spec.rel_tol * scale
+        width = hi - lo
+        done = (err <= tol * width / span) | (
+            width <= 1e-14 * (np.abs(lo) + np.abs(hi) + 1.0))
+        total = total + val[done].sum(axis=0)
+        total_err += float(err[done].sum())
+        if done.all():
+            return total, total_err
+        active = ~done
+        lo, hi, val, err = lo[active], hi[active], val[active], err[active]
+        if n_panels + 2 * lo.size > spec.max_subdivisions:
+            bound = total_err + float(err.sum())
             raise ConvergenceError(
                 "quadrature did not converge in %d panels (err ~ %.3e)"
                 % (n_panels, bound),
-                estimate=est,
+                estimate=total + val.sum(axis=0),
                 error_bound=bound,
             )
         mid = 0.5 * (lo + hi)
-        left = _gk15_panel(f, lo, mid)
-        right = _gk15_panel(f, mid, hi)
-        n_panels += 2
-        scale = max(scale, float(np.max(np.abs(total))))
-        tol = spec.abs_tol + spec.rel_tol * scale
-        stack.append((mid, hi) + right)
-        stack.append((lo, mid) + left)
-    return total, total_err
+        lo, hi = (np.stack([lo, mid], axis=1).ravel(),
+                  np.stack([mid, hi], axis=1).ravel())
+        val, err = _gk15(f, lo, hi)
+        n_panels += lo.size
 
 
 def integrate_pv(f, pole, a, b, spec=None, excision=None):
@@ -328,9 +347,10 @@ def phase_sum(taus, nu, weights, block=4096):
     through the same GEMM.  B > 1 is used only when max|delta| max|nu|
     <= 2^-26, where the dropped (delta nu)^2 / 2 is below the unit
     roundoff; otherwise (a non-uniform grid) B = 1, base = taus, and
-    the product is the plain dense one.  block bounds the base rows
-    transformed at once, so the phase matrix has at most block x
-    len(nu) entries.
+    the product is the plain dense one, which needs no error-free split:
+    its phases carry the same rounding as the dense exponential.  block
+    bounds the base rows transformed at once, so the phase matrix has
+    at most block x len(nu) entries.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     nu = np.asarray(nu, dtype=float)
@@ -338,14 +358,16 @@ def phase_sum(taus, nu, weights, block=4096):
     k = cols.shape[1]
     base, off, delta = _delay_split(taus.ravel(), nu)
     n_off = off.size
+    exact = n_off > 1
     # weights and nu * weights for each offset row, laid out (nu, off, col)
-    w_off = _phases(off, nu).T[:, :, None] * np.concatenate(
+    w_off = _phases(off, nu, exact).T[:, :, None] * np.concatenate(
         [cols, nu[:, None] * cols], axis=1)[:, None, :]
     w_off = w_off.reshape(nu.size, 2 * n_off * k)
     out = np.empty((base.size * n_off, 2 * k), dtype=complex)
     for i in range(0, base.size, block):
         rows = slice(i * n_off, (i + block) * n_off)
-        out[rows] = (_phases(base[i:i + block], nu) @ w_off).reshape(-1, 2 * k)
+        out[rows] = (_phases(base[i:i + block], nu, exact)
+                     @ w_off).reshape(-1, 2 * k)
     out = out[:taus.size]
     out = out[:, :k] - 1j * delta[:, None] * out[:, k:]
     return out.reshape(taus.shape + np.shape(weights)[1:])
@@ -373,11 +395,13 @@ def _split(x):
     return hi, x - hi
 
 
-def _phases(t, nu):
-    """exp(-i outer(t, nu)) to rounding: outer(t, nu) = p + e exactly
-    (Dekker's product) and the rounding error e is applied to first
-    order, exp(-i p) (1 - i e)."""
+def _phases(t, nu, exact):
+    """exp(-i outer(t, nu)); with exact, to rounding: outer(t, nu) = p + e
+    exactly (Dekker's product) and the rounding error e is applied to
+    first order, exp(-i p) (1 - i e)."""
     p = np.multiply.outer(t, nu)
+    if not exact:
+        return np.exp(-1j * p)
     th, tl = _split(t)
     nh, nl = _split(nu)
     e = np.multiply.outer(th, nh)

@@ -6,10 +6,12 @@ import pytest
 
 from greenmodes import (
     BulkClosedForm,
+    CavityGeometry,
     ConstantScalar,
     Constants,
     IdentityReport,
     QuadratureSpec,
+    build_pec_box_modes,
     check_appendix_lossless_limit,
     check_conversion_p1,
     check_magic_formula,
@@ -17,6 +19,7 @@ from greenmodes import (
     im_green_coincidence,
     vacuum_correlation_spectrum,
 )
+from greenmodes.identities import _lorentzian_weights
 
 SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, max_subdivisions=4000)
 
@@ -63,6 +66,31 @@ def test_conversion_swap_transposes_sides(cube_modeset):
     assert np.max(np.abs(a.lhs - b.lhs.T)) < 1e-10 * scale
     assert np.max(np.abs(a.rhs - b.rhs.T)) < 1e-10 * scale
     assert abs(a.rel_residual - b.rel_residual) < 1e-10
+
+
+def _closed_form_weights(omegas, eta, omega_max):
+    # x = w^2 turns the weight into (eta/2pi) int x / ((x - p)^2 + q^2) dx
+    a = omegas**2
+    p = a - eta**2 / 2.0
+    q = eta * np.sqrt(4.0 * a - eta**2) / 2.0
+
+    def prim(x):
+        return 0.5 * np.log(x * x - 2.0 * p * x + a * a) \
+            + (p / q) * np.arctan((x - p) / q)
+
+    return eta / (2.0 * np.pi) * (prim(omega_max**2) - prim(0.0))
+
+
+@pytest.mark.parametrize("n_max", [6, 10])
+def test_conversion_weights_match_closed_form(n_max):
+    modes = build_pec_box_modes(CavityGeometry(1.0, 1.0, 1.0), n_max)
+    omegas = np.unique(np.round(modes.omegas, 9))
+    eta = 1e-3 * omegas[0]
+    omega_max = 1.3 * modes.omega_top
+    got, err = _lorentzian_weights(omegas, eta, omega_max, QuadratureSpec())
+    want = _closed_form_weights(omegas, eta, omega_max)
+    assert np.max(np.abs(got - want) / want) <= 1e-10
+    assert 0.0 <= err < 1e-8
 
 
 def test_conversion_rejects_omega_max_below_band(cube_modeset):
@@ -209,6 +237,32 @@ def test_appendix_rejects_coincidence():
     with pytest.raises(ValueError):
         check_appendix_lossless_limit(np.zeros(3), np.zeros(3), 1.0,
                                       spec=SPEC)
+
+
+# -- quadrature error estimates in the reports -----------------------------
+
+
+@pytest.mark.parametrize("check", ["conversion_softened",
+                                   "conversion_analytic",
+                                   "magic_coincidence", "appendix"])
+def test_identity_reports_carry_quad_error(check, cube_modeset):
+    eps = ConstantScalar(1.0 + 1e-3j)
+    r = np.array([0.3, -0.1, 0.2])
+    if check == "conversion_softened":
+        rep = check_conversion_p1(cube_modeset, R_IN, R0_IN, spec=SPEC)
+    elif check == "conversion_analytic":
+        rep = check_conversion_p1(cube_modeset, R_IN, R0_IN, spec=SPEC,
+                                  lhs_path="analytic")
+    elif check == "magic_coincidence":
+        rep = check_magic_formula(BulkClosedForm(eps), eps, r, r, 1.0,
+                                  spec=SPEC)
+    else:
+        rep = check_appendix_lossless_limit(np.array([0.4, 0.2, 1.1]),
+                                            np.zeros(3), 1.0, spec=SPEC)
+    err = rep.metadata["quad_error"]
+    assert np.isfinite(err) and err >= 0.0
+    if check != "conversion_analytic":
+        assert err > 0.0
 
 
 # -- vacuum correlation spectrum -------------------------------------------

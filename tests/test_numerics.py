@@ -22,6 +22,7 @@ from greenmodes import (
     sommerfeld_radial,
     volterra_march,
 )
+from greenmodes import numerics
 from greenmodes.numerics import fourier_table, phase_sum
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
@@ -79,6 +80,34 @@ def test_adaptive_budget_exhaustion_raises_with_estimate():
         integrate_adaptive(f, 0.0, 1.0, spec)
     assert exc.value.estimate is not None
     assert exc.value.error_bound > 0.0
+
+
+def test_adaptive_makes_one_integrand_call_per_round():
+    eta = 1e-3
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return eta / ((x - 1.0) ** 2 + eta**2)
+
+    val, _ = integrate_adaptive(f, 0.0, 2.0, QuadratureSpec())
+    assert abs(val - 2.0 * np.arctan(1.0 / eta)) <= 1e-12
+    assert len(calls) <= 15
+
+
+def test_adaptive_wide_round_is_evaluated_in_slices():
+    # cos(20 x) on [0, 10] bisects every panel for several rounds, so
+    # one round holds more panels than a single integrand call takes
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.cos(20.0 * x)
+
+    val, _ = integrate_adaptive(f, 0.0, 10.0, TIGHT)
+    assert abs(val - np.sin(200.0) / 20.0) < 1e-12
+    assert max(sizes) == 15 * numerics._ROUND_PANELS
+    assert len(sizes) > len(set(sizes))
 
 
 def test_pv_matches_frozen_reference():
