@@ -285,32 +285,22 @@ def _build_green_backend(scenario, qspec, const, where="backend"):
 # serialization
 
 
-def _sig(value):
-    """Canonical float text: 17 significant digits."""
-    return "%.17g" % value
-
-
-def _cell(value):
-    if isinstance(value, (int, np.integer)):
-        return "%d" % value
-    if isinstance(value, (float, np.floating)):
-        return _sig(float(value))
-    return str(value)
-
-
-def _write_table(path, columns, rows, fmt):
+def _write_table(path, columns, data, fmt):
+    """Write one table from its column arrays: integer columns as %d,
+    float columns as 17 significant digits, one write per file."""
+    data = [np.asarray(col) for col in data]
+    rows = zip(*(col.tolist() for col in data))
     if fmt == "json":
-        payload = {"columns": list(columns),
-                   "rows": [[(v if isinstance(v, (int, str)) else float(v))
-                             for v in row] for row in rows]}
+        payload = {"columns": list(columns), "rows": [list(r) for r in rows]}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
         return
+    row_fmt = ",".join("%d" if col.dtype.kind in "iu" else "%.17g"
+                       for col in data) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n"
+                 + "".join([row_fmt % row for row in rows]))
 
 
 def _jsonable(value):
@@ -358,11 +348,10 @@ def _run_modes(scenario, qspec, const, outdir, fmt, stem):
     kind, payload = _build_geometry(scenario, expect="pec_box")
     geom, n_max, _ = payload
     modeset = build_pec_box_modes(geom, n_max, const=const)
-    rows = [(e.index.m, e.index.n, e.index.p, e.index.branch, e.omega)
-            for e in modeset.entries]
     ext = "json" if fmt == "json" else "csv"
     table = os.path.join(outdir, "%s_modes.%s" % (stem, ext))
-    _write_table(table, ("m", "n", "p", "branch", "omega"), rows, fmt)
+    _write_table(table, ("m", "n", "p", "branch", "omega"),
+                 list(modeset.idx.T) + [modeset.omegas], fmt)
     summary = {
         "n_modes": len(modeset),
         "omega_min": float(modeset.omegas.min()),
@@ -402,7 +391,7 @@ def _run_green(scenario, qspec, const, outdir, fmt, stem):
             rows.append(tuple(row))
     ext = "json" if fmt == "json" else "csv"
     table = os.path.join(outdir, "%s_green.%s" % (stem, ext))
-    _write_table(table, columns, rows, fmt)
+    _write_table(table, columns, np.array(rows).T, fmt)
     return [table], {"n_rows": len(rows), "backend": type(backend).__name__}
 
 
@@ -542,11 +531,9 @@ def _run_ww(scenario, qspec, const, outdir, fmt, stem):
     gamma, delta = markov_rate_and_shift(kernel, atom, qspec)
     ext = "json" if fmt == "json" else "csv"
     table = os.path.join(outdir, "%s_ww.%s" % (stem, ext))
-    rows = [
-        (t, c.real, c.imag, p)
-        for t, c, p in zip(result.times, result.c_es, result.population)
-    ]
-    _write_table(table, ("t", "re_c", "im_c", "population"), rows, fmt)
+    _write_table(table, ("t", "re_c", "im_c", "population"),
+                 (result.times, result.c_es.real, result.c_es.imag,
+                  result.population), fmt)
     fit_gamma, fit_shift = result.markov_fit
     summary = {
         "gamma": gamma,
@@ -616,11 +603,9 @@ def _run_master(scenario, qspec, const, outdir, fmt, stem):
                                   max_refinements=max_ref)
     ext = "json" if fmt == "json" else "csv"
     table = os.path.join(outdir, "%s_master.%s" % (stem, ext))
-    rows = [
-        (t, ee, eg.real, eg.imag)
-        for t, ee, eg in zip(traj.times, traj.rho_ee, traj.rho_eg)
-    ]
-    _write_table(table, ("t", "rho_ee", "re_rho_eg", "im_rho_eg"), rows, fmt)
+    _write_table(table, ("t", "rho_ee", "re_rho_eg", "im_rho_eg"),
+                 (traj.times, traj.rho_ee, traj.rho_eg.real, traj.rho_eg.imag),
+                 fmt)
 
     # bare level shift: PV of J alone, no thermal factors
     bare = density

@@ -12,7 +12,6 @@ reports its coefficient symbolically via delta_term().
 """
 
 import numpy as np
-from scipy import special
 
 from .constants import Constants
 from .numerics import QuadratureSpec, sommerfeld_radial
@@ -28,18 +27,30 @@ def wavenumber(omega, eps, const=None):
     return k
 
 
-def _bulk_green_batch(disp, k):
-    """Closed-form G for displacement rows disp (N, 3), N-batched."""
-    disp = np.atleast_2d(np.asarray(disp, dtype=float))
-    rho = np.linalg.norm(disp, axis=1)
-    if np.any(rho == 0.0):
-        raise ValueError("coincidence limit: use im_green_coincidence")
-    ehat = disp / rho[:, None]
+def _green_coefficients(rho, k):
+    """a, b of the closed form G = a I + b ee at distance rho > 0."""
     x = k * rho
     phase = np.exp(1j * x)
     denom = 4.0 * np.pi * k**2 * rho**3
     a = -phase * (1.0 - 1j * x - x**2) / denom
     b = phase * (3.0 - 3j * x - x**2) / denom
+    return a, b
+
+
+def _green_factors(disp, k):
+    """(a, b, ehat) with G = a I + b ehat ehat^T for displacement rows
+    disp (N, 3); a and b are (N,), ehat is (N, 3)."""
+    disp = np.atleast_2d(np.asarray(disp, dtype=float))
+    rho = np.linalg.norm(disp, axis=1)
+    if np.any(rho == 0.0):
+        raise ValueError("coincidence limit: use im_green_coincidence")
+    a, b = _green_coefficients(rho, k)
+    return a, b, disp / rho[:, None]
+
+
+def _bulk_green_batch(disp, k):
+    """Closed-form G for displacement rows disp (N, 3), N-batched."""
+    a, b, ehat = _green_factors(disp, k)
     ee = ehat[:, :, None] * ehat[:, None, :]
     return a[:, None, None] * I3 + b[:, None, None] * ee
 
@@ -87,6 +98,8 @@ def default_k_max(k, lateral, dz, multiplier=30.0):
 
 
 def _sommerfeld_integrand(kpar, k, lateral, dz_abs, sign_z):
+    from scipy import special
+
     kperp = np.sqrt(k * k - kpar * kpar + 0j)
     flip = kperp.imag < 0.0
     kperp = np.where(flip, -kperp, kperp)

@@ -14,7 +14,14 @@ with the two points as foci.  In those coordinates the integrand's
 oscillation lives purely in the "ellipse difference" variable v =
 rho1 - rho2 (bounded by the separation) while the exponential decay lives
 purely in u = rho1 + rho2, so fixed-order panel Gauss rules converge fast
-and the cutoff in u is set by the absorption depth alone.
+and the cutoff in u is set by the absorption depth alone.  The weighted
+sum of G G^dagger over those nodes is never formed tensor by tensor:
+with G = a I + b e e^T it reduces to one scalar sum and three
+outer-product sums (_gg_dagger_sum).  In the far region a and b depend
+only on the two focal distances, which each ring of azimuthal nodes
+shares, so they are computed once per ring.  The volume check and the
+lossy surface check share one assembly of balls, far region and contact
+cross term (_volume_terms).
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +30,9 @@ import numpy as np
 
 from .constants import Constants
 from .greens import (
-    BulkClosedForm,
     _bulk_green_batch,
+    _green_coefficients,
+    _green_factors,
     bulk_green,
     im_green_coincidence,
     wavenumber,
@@ -207,12 +215,16 @@ def _u_panel_edges(d, a, im_k, u_cap=None):
 
 
 def _far_region_nodes(d_vec, a, im_k, u_cap=None, n_mu=24, n_chi=24, n_phi=8):
-    """Quadrature nodes/weights for the region outside both balls.
+    """Quadrature nodes/weights for the region outside both balls, and
+    the distances rho1 = |s|, rho2 = |s - d_vec| of each ring of n_phi
+    consecutive nodes.
 
     Prolate spheroidal parametrization with foci at 0 and d_vec:
     rho1 = (d/2)(cosh mu + sin chi), rho2 = (d/2)(cosh mu - sin chi);
     the corner panel mu in [0, mu_a] carries the chi limit
-    |sin chi| <= cosh mu - 2a/d that excises the two balls.
+    |sin chi| <= cosh mu - 2a/d that excises the two balls.  The
+    azimuth phi about d_vec varies fastest, and neither distance
+    depends on it.
     """
     d = float(np.linalg.norm(d_vec))
     dhat = np.asarray(d_vec) / d
@@ -283,15 +295,73 @@ def _far_region_nodes(d_vec, a, im_k, u_cap=None, n_mu=24, n_chi=24, n_phi=8):
         )
     )
     wts = np.repeat(base_w[:, None] * w_phi, n_phi, axis=0).reshape(-1)
-    return pts.reshape(-1, 3), wts
+    return pts.reshape(-1, 3), wts, rho1.ravel(), rho2.ravel()
 
 
-def _pair_product_sum(points, weights, d_vec, k):
-    """sum_i w_i G(d - s_i) G(s_i)^dagger, batched."""
-    g_a = _bulk_green_batch(d_vec[None, :] - points, k)
-    g_b = _bulk_green_batch(points, k)
-    prod = np.einsum("nij,nkj->nik", g_a, np.conj(g_b))
-    return np.einsum("n,nij->ij", weights, prod)
+def _outer_sum(u, c, v):
+    """sum_i c_i u_i v_i^T for real rows u, v (N, 3) and complex c (N,),
+    as two real (3, N) @ (N, 3) products."""
+    return (u.T * c.real) @ v + 1j * ((u.T * c.imag) @ v)
+
+
+def _ring_factors(disp, rho, k):
+    """_green_factors for displacement rows grouped in rings of equal
+    length: rho holds one length per ring of disp.shape[0] // rho.size
+    consecutive rows, so a and b are computed once per ring."""
+    a, b = _green_coefficients(rho, k)
+    a, b, rho = (np.repeat(x, disp.shape[0] // rho.size) for x in (a, b, rho))
+    return a, b, disp / rho[:, None]
+
+
+def _gg_dagger_sum(factors_a, factors_b, weights):
+    """sum_i w_i G_a,i G_b,i^dagger from the factors (a, b, e) of each
+    side (see _green_factors), without forming any G.
+
+    With G = a I + b e e^T and real unit vectors e, each term is
+    a_a conj(a_b) I + a_a conj(b_b) e_b e_b^T + b_a conj(a_b) e_a e_a^T
+    + b_a conj(b_b) (e_a . e_b) e_a e_b^T, so the sum is one scalar times
+    I plus three outer-product sums.
+    """
+    a_a, b_a, e_a = factors_a
+    a_b, b_b, e_b = factors_b
+    wa = weights * a_a
+    wb = weights * b_a
+    a_b = np.conj(a_b)
+    b_b = np.conj(b_b)
+    dots = np.einsum("ni,ni->n", e_a, e_b)
+    return (np.sum(wa * a_b) * I3
+            + _outer_sum(e_b, wa * b_b, e_b)
+            + _outer_sum(e_a, wb * a_b, e_a)
+            + _outer_sum(e_a, wb * b_b * dots, e_b))
+
+
+def _volume_terms(r, r0, omega, eps, const, u_cap=None):
+    """int G(r, s) G(s, r0)^dagger d^3s for r != r0, before the absorption
+    weight, in pieces: (volume, cross, g_d, ball_radius, n_far_nodes).
+
+    volume is the regular part over all space: a ball around each of
+    the two singular points plus the prolate-spheroidal far region,
+    truncated at u = rho1 + rho2 <= u_cap when given.  cross is the
+    closed-form cross term between the regular part and the symbolic
+    contact delta, and g_d = G(r, r0).  The identity's lhs is
+    (w^2 Im eps / c^2) (volume + cross).
+    """
+    k = wavenumber(omega, eps, const)
+    d_vec = r - r0
+    a = min(0.45 * float(np.linalg.norm(d_vec)), 2.0 / abs(k))
+    ball_pts, ball_wts = _ball_rule(a)
+    g_u = _green_factors(ball_pts, k)
+    # ball around s = r0 (second factor singular): s - r0 = u
+    near0 = _gg_dagger_sum(_green_factors(d_vec - ball_pts, k), g_u, ball_wts)
+    # ball around s = r: s - r0 = d + u, and G(-u) = G(u)
+    near_d = _gg_dagger_sum(g_u, _green_factors(d_vec + ball_pts, k), ball_wts)
+    far_pts, far_wts, rho1, rho2 = _far_region_nodes(d_vec, a, k.imag,
+                                                     u_cap=u_cap)
+    far = _gg_dagger_sum(_ring_factors(d_vec - far_pts, rho2, k),
+                         _ring_factors(far_pts, rho1, k), far_wts)
+    g_d = bulk_green(r, r0, omega, eps, const)
+    cross = -dagger(g_d) / (3.0 * k**2) - g_d / (3.0 * np.conj(k**2))
+    return near0 + near_d + far, cross, g_d, a, far_wts.size
 
 
 def _scalar_absorption(eps_model, omega):
@@ -339,8 +409,7 @@ def check_magic_formula(green, eps_model, r, r0, omega, spec=None,
     k = wavenumber(omega, eps, const)
     r = r3(r)
     r0 = r3(r0)
-    d_vec = r - r0
-    d = float(np.linalg.norm(d_vec))
+    d = float(np.linalg.norm(r - r0))
     pref = omega**2 * im_eps / const.c**2
 
     if d == 0.0:
@@ -348,11 +417,7 @@ def check_magic_formula(green, eps_model, r, r0, omega, spec=None,
         r_cut = b + 9.21 / k.imag
 
         def radial(rho):
-            x = k * rho
-            phase = np.exp(1j * x)
-            denom = 4.0 * np.pi * k**2 * rho**3
-            a_c = -phase * (1.0 - 1j * x - x**2) / denom
-            b_c = phase * (3.0 - 3j * x - x**2) / denom
+            a_c, b_c = _green_coefficients(rho, k)
             return 4.0 * np.pi * rho**2 * (
                 np.abs(a_c) ** 2
                 + (2.0 * np.real(a_c * np.conj(b_c)) + np.abs(b_c) ** 2) / 3.0
@@ -371,29 +436,14 @@ def check_magic_formula(green, eps_model, r, r0, omega, spec=None,
         }
         return make_report(lhs, rhs, meta)
 
-    a = min(0.45 * d, 2.0 / abs(k))
-    ball_pts, ball_wts = _ball_rule(a)
-    # ball around s = 0 (second factor singular)
-    near0 = _pair_product_sum(ball_pts, ball_wts, d_vec, k)
-    # ball around s = d: substitute s = d + u, G(d-s) -> G(u)
-    g_a = _bulk_green_batch(ball_pts, k)
-    g_b = _bulk_green_batch(d_vec[None, :] + ball_pts, k)
-    prod = np.einsum("nij,nkj->nik", g_a, np.conj(g_b))
-    near_d = np.einsum("n,nij->ij", ball_wts, prod)
-
-    far_pts, far_wts = _far_region_nodes(d_vec, a, k.imag, u_cap=u_cap)
-    far = _pair_product_sum(far_pts, far_wts, d_vec, k)
-
-    g_d = bulk_green(r, r0, omega, eps, const)
-    cross = -dagger(g_d) / (3.0 * k**2) - g_d / (3.0 * np.conj(k**2))
-
-    volume = near0 + near_d + far
+    volume, cross, g_d, a, n_far = _volume_terms(r, r0, omega, eps, const,
+                                                 u_cap=u_cap)
     lhs = pref * (volume + cross)
     rhs = g_d.imag
     meta = {
         "path": "generic",
         "ball_radius": float(a),
-        "n_far_nodes": int(far_wts.size),
+        "n_far_nodes": int(n_far),
         "im_eps": im_eps,
         "separation": d,
     }
@@ -481,22 +531,11 @@ def check_surface_term(green, sphere_radius, r, r0, omega, spec=None,
             raise ValueError(
                 "lossy coincidence has no finite Im G; separate the points"
             )
-        a = min(0.45 * d, 2.0 / abs(k))
-        ball_pts, ball_wts = _ball_rule(a)
-        near0 = _pair_product_sum(ball_pts, ball_wts, r - r0, k)
-        g_a = _bulk_green_batch(ball_pts, k)
-        g_b = _bulk_green_batch((r - r0)[None, :] + ball_pts, k)
-        prod = np.einsum("nij,nkj->nik", g_a, np.conj(g_b))
-        near_d = np.einsum("n,nij->ij", ball_wts, prod)
         # far region truncated at the ellipsoid inscribed by the sphere;
         # the residual shell is exponentially suppressed by Im k * R
-        far_pts, far_wts = _far_region_nodes(r - r0, a, k.imag,
-                                             u_cap=2.0 * radius - d)
-        far = _pair_product_sum(far_pts, far_wts, r - r0, k)
-        g_d = bulk_green(r, r0, omega, eps, const)
-        cross = -dagger(g_d) / (3.0 * k**2) - g_d / (3.0 * np.conj(k**2))
-        volume = (omega**2 * eps.imag / const.c**2) * (
-            near0 + near_d + far + cross)
+        vol_sum, cross, g_d, _, _ = _volume_terms(
+            r, r0, omega, eps, const, u_cap=2.0 * radius - d)
+        volume = (omega**2 * eps.imag / const.c**2) * (vol_sum + cross)
         rhs = g_d.imag
     else:
         volume = np.zeros((3, 3), dtype=complex)

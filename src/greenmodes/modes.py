@@ -13,9 +13,13 @@ excluded.  Exactly one zero index leaves a single polarization branch
 (A along that axis); otherwise there are two.  Amplitudes are fixed by the
 closed-form normalization integral int eps_b |E|^2 = 1, so orthonormality
 is exact by construction and the overlap matrix needs no cubature.
+
+A ModeSet stores its modes as parallel arrays (index rows, frequencies,
+wavevectors, amplitudes); ModeEntry objects are views made on request.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -114,46 +118,74 @@ class ModeEntry:
 
 
 class ModeSet:
-    """Immutable collection of box modes with vectorized field evaluation.
+    """Immutable collection of box modes, stored as arrays.
 
-    entries are sorted ascending in omega with lexicographic
+    Modes are sorted ascending in omega with lexicographic
     (m, n, p, branch) tie-breaking, so the ordering is deterministic for
-    degenerate shells.
+    degenerate shells.  The set keeps four parallel arrays: idx (n, 4)
+    integer (m, n, p, branch) rows, omegas (n,), the wavevectors (n, 3)
+    and the amplitude vectors (n, 3).  entries, indexing and iteration
+    hand out ModeEntry views built from those rows on demand; field
+    evaluation, subset and overlap work on the arrays directly.
     """
 
     def __init__(self, geometry, entries, n_max, const=None):
+        idx = [(e.index.m, e.index.n, e.index.p, e.index.branch)
+               for e in entries]
+        self._init(geometry, np.array(idx, dtype=np.int64).reshape(-1, 4),
+                   np.array([e.omega for e in entries], dtype=float),
+                   np.array([e.kvec for e in entries], dtype=float),
+                   np.array([e.amplitude for e in entries], dtype=float),
+                   n_max, const)
+
+    @classmethod
+    def _from_arrays(cls, geometry, idx, omegas, k, amp, n_max, const):
+        modeset = cls.__new__(cls)
+        modeset._init(geometry, idx, omegas, k, amp, n_max, const)
+        return modeset
+
+    def _init(self, geometry, idx, omegas, k, amp, n_max, const):
+        if not len(omegas):
+            raise ValueError("empty mode set")
         self.geometry = geometry
         self.const = const or Constants.natural()
         self.n_max = n_max
-        order = sorted(
-            range(len(entries)),
-            key=lambda i: (entries[i].omega,) + (
-                entries[i].index.m, entries[i].index.n,
-                entries[i].index.p, entries[i].index.branch),
-        )
-        self.entries = tuple(entries[i] for i in order)
-        if not self.entries:
-            raise ValueError("empty mode set")
-        self._k = np.array([e.kvec for e in self.entries])
-        self._amp = np.array([e.amplitude for e in self.entries])
-        self.omegas = np.array([e.omega for e in self.entries])
+        order = np.lexsort((idx[:, 3], idx[:, 2], idx[:, 1], idx[:, 0],
+                            omegas))
+        self.idx, self.omegas, self._k, self._amp = (
+            a[order] for a in (idx, omegas, k, amp))
+        for a in (self.idx, self.omegas, self._k, self._amp):
+            a.flags.writeable = False
+
+    def _entry(self, i):
+        m, n, p, branch = self.idx[i].tolist()
+        return ModeEntry(ModeIndex(m, n, p, branch), self.omegas[i],
+                         self._k[i], self._amp[i], self.geometry)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.omegas)
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(self._entry, range(len(self)))
 
     def __getitem__(self, i):
-        return self.entries[i]
+        if isinstance(i, slice):
+            return tuple(map(self._entry, range(len(self))[i]))
+        return self._entry(range(len(self))[i])
+
+    @cached_property
+    def entries(self):
+        return tuple(self)
 
     @property
     def omega_top(self):
         return float(self.omegas[-1])
 
     def subset(self, indices):
-        picked = [self.entries[i] for i in indices]
-        return ModeSet(self.geometry, picked, self.n_max, self.const)
+        sel = np.asarray(indices, dtype=np.int64).reshape(-1)
+        return ModeSet._from_arrays(self.geometry, self.idx[sel],
+                                    self.omegas[sel], self._k[sel],
+                                    self._amp[sel], self.n_max, self.const)
 
     def eval_all(self, r):
         """All mode fields at one point, shape (n_modes, 3)."""
@@ -164,7 +196,7 @@ class ModeSet:
         sy = np.sin(self._k[:, 1] * y)
         cz = np.cos(self._k[:, 2] * z)
         sz = np.sin(self._k[:, 2] * z)
-        out = np.empty((len(self.entries), 3))
+        out = np.empty((len(self), 3))
         out[:, 0] = self._amp[:, 0] * cx * sy * sz
         out[:, 1] = self._amp[:, 1] * sx * cy * sz
         out[:, 2] = self._amp[:, 2] * sx * sy * cz
@@ -172,12 +204,12 @@ class ModeSet:
 
     def overlap(self, i, j):
         """Closed-form orthonormality integral int eps_b E_i . E_j dV."""
-        ei = self.entries[i]
-        ej = self.entries[j]
-        ti = (ei.index.m, ei.index.n, ei.index.p)
-        if ti != (ej.index.m, ej.index.n, ej.index.p):
+        ti = self.idx[i, :3].tolist()
+        if ti != self.idx[j, :3].tolist():
             return 0.0
         lengths = self.geometry.lengths
+        amp_i = self._amp[i]
+        amp_j = self._amp[j]
         total = 0.0
         for comp in range(3):
             w = 1.0
@@ -193,7 +225,7 @@ class ModeSet:
                     w *= 0.5 * lengths[ax]
             if dead:
                 continue
-            total += ei.amplitude[comp] * ej.amplitude[comp] * w
+            total += amp_i[comp] * amp_j[comp] * w
         return self.geometry.eps_b * total
 
 
@@ -201,44 +233,49 @@ def build_pec_box_modes(geometry, n_max, const=None):
     """All transverse box modes with max(m, n, p) <= n_max.
 
     Mode count is 2 n_max^3 + 3 n_max^2 (two branches for all-nonzero
-    triples, one for exactly-one-zero triples).
+    triples, one for exactly-one-zero triples).  Every index triple is
+    generated at once and k, omega and both polarization amplitudes are
+    computed on the whole array.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     const = const or Constants.natural()
     eps_b = geometry.eps_b
-    lengths = geometry.lengths
     vol = geometry.volume
-    entries = []
-    for m in range(n_max + 1):
-        for n in range(n_max + 1):
-            for p in range(n_max + 1):
-                n_zero = (m == 0) + (n == 0) + (p == 0)
-                if n_zero >= 2:
-                    continue
-                kvec = np.pi * np.array([m, n, p]) / lengths
-                knorm = float(np.linalg.norm(kvec))
-                omega = const.c * knorm / np.sqrt(eps_b)
-                if n_zero == 1:
-                    axis = (m, n, p).index(0)
-                    amp = np.zeros(3)
-                    amp[axis] = 2.0 / np.sqrt(eps_b * vol)
-                    entries.append(
-                        ModeEntry(ModeIndex(m, n, p, 1), omega, kvec, amp, geometry))
-                else:
-                    kpar = float(np.hypot(kvec[0], kvec[1]))
-                    a1 = np.array([kvec[1], -kvec[0], 0.0]) / kpar
-                    a2 = np.array([
-                        kvec[2] * kvec[0],
-                        kvec[2] * kvec[1],
-                        -kpar**2,
-                    ]) / (knorm * kpar)
-                    scale = np.sqrt(8.0 / (eps_b * vol))
-                    entries.append(
-                        ModeEntry(ModeIndex(m, n, p, 1), omega, kvec, a1 * scale, geometry))
-                    entries.append(
-                        ModeEntry(ModeIndex(m, n, p, 2), omega, kvec, a2 * scale, geometry))
-    return ModeSet(geometry, entries, n_max, const)
+    grid = np.arange(n_max + 1)
+    mnp = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    n_zero = np.count_nonzero(mnp == 0, axis=1)
+    mnp = mnp[n_zero <= 1]
+    one = n_zero[n_zero <= 1] == 1
+    k = np.pi * mnp / geometry.lengths
+    # the stacked matmul reproduces np.linalg.norm of each row bitwise,
+    # which keeps degenerate shells in the same order
+    knorm = np.sqrt((k[:, None, :] @ k[:, :, None])[:, 0, 0])
+    omega = const.c * knorm / np.sqrt(eps_b)
+
+    # exactly one zero index: a single branch along that axis
+    amp0 = np.zeros((np.count_nonzero(one), 3))
+    amp0[mnp[one] == 0] = 2.0 / np.sqrt(eps_b * vol)
+
+    # all indices nonzero: two branches transverse to k
+    kk = k[~one]
+    kx, ky, kz = kk.T
+    kpar = np.hypot(kx, ky)
+    scale = np.sqrt(8.0 / (eps_b * vol))
+    a1 = np.stack([ky, -kx, np.zeros_like(kx)], axis=1) / kpar[:, None]
+    a2 = np.stack([kz * kx, kz * ky, -kpar**2], axis=1) \
+        / (knorm[~one] * kpar)[:, None]
+
+    branch = np.repeat([1, 1, 2], [len(amp0), len(kk), len(kk)])
+    idx = np.column_stack([
+        np.concatenate([mnp[one], mnp[~one], mnp[~one]]), branch])
+    return ModeSet._from_arrays(
+        geometry, idx,
+        np.concatenate([omega[one], omega[~one], omega[~one]]),
+        np.concatenate([k[one], kk, kk]),
+        np.concatenate([amp0, a1 * scale, a2 * scale]),
+        n_max, const)
 
 
 def plane_wave_mode(k_vector, s, volume):

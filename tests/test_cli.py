@@ -2,11 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from greenmodes import cli
+from greenmodes import CavityGeometry, build_pec_box_modes, cli
 
 
 def write_scenario(path, payload):
@@ -54,6 +56,31 @@ def test_modes_csv_and_envelope(tmp_path):
     assert env["scenario"] == cube_scenario()
     assert sorted(env["files"]) == ["cube_modes.csv"]
     assert env["warnings"] == []
+
+
+def test_modes_listing_matches_entry_views(tmp_path):
+    # the listing is written from the mode arrays; it must equal, byte for
+    # byte, one written row by row from the ModeEntry views, so the order
+    # of every degenerate shell is the order of the mode set
+    cfg = write_scenario(tmp_path / "cube.json", cube_scenario(n_max=20))
+    out = tmp_path / "out"
+    assert run(["modes", "--config", cfg, "--out", out, "--quiet"]) == 0
+    modeset = build_pec_box_modes(CavityGeometry(1.0, 1.0, 1.0), 20)
+    want = "m,n,p,branch,omega\n" + "".join(
+        "%d,%d,%d,%d,%.17g\n" % (e.index.m, e.index.n, e.index.p,
+                                  e.index.branch, e.omega)
+        for e in modeset.entries)
+    assert (out / "cube_modes.csv").read_bytes() == want.encode()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    code = ("import sys, greenmodes.cli; "
+            "sys.exit('scipy.special' in sys.modules)")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -3,6 +3,8 @@ closure, planar lossless limit, vacuum correlation spectrum."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenmodes import (
     BulkClosedForm,
@@ -19,7 +21,8 @@ from greenmodes import (
     im_green_coincidence,
     vacuum_correlation_spectrum,
 )
-from greenmodes.identities import _lorentzian_weights
+from greenmodes.greens import _bulk_green_batch, _green_factors
+from greenmodes.identities import _gg_dagger_sum, _lorentzian_weights
 
 SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, max_subdivisions=4000)
 
@@ -153,6 +156,35 @@ def test_magic_formula_swap_transposes_sides():
     assert np.max(np.abs(np.asarray(b.lhs) - np.asarray(a.lhs).conj().T)) \
         < 1e-12 * scale
     assert abs(a.rel_residual - b.rel_residual) < 1e-10
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 300),
+    re_k=st.floats(0.05, 6.0),
+    im_k=st.floats(1e-4, 3.0),
+    spread=st.sampled_from([0.01, 1.0, 8.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_volume_sum_matches_dense_product(n, re_k, im_k, spread,
+                                                   seed):
+    # the ball around s = 0 pairs G(d - s) with G(s), the ball around
+    # s = d pairs G(u) with G(d + u); both must equal the dense sum of
+    # w G_a G_b^dagger over the full tensors, to rounding of the terms
+    rng = np.random.default_rng(seed)
+    pts = spread * rng.normal(size=(n, 3))
+    w = rng.uniform(0.0, 1.0, n)
+    d_vec = rng.normal(size=3)
+    k = complex(re_k, im_k)
+    for disp_a, disp_b in ((d_vec - pts, pts), (pts, d_vec + pts)):
+        g_a = _bulk_green_batch(disp_a, k)
+        g_b = _bulk_green_batch(disp_b, k)
+        dense = np.einsum("n,nij,nkj->ik", w, g_a, np.conj(g_b))
+        got = _gg_dagger_sum(_green_factors(disp_a, k),
+                             _green_factors(disp_b, k), w)
+        scale = np.sum(w * np.max(np.abs(g_a), axis=(1, 2))
+                       * np.max(np.abs(g_b), axis=(1, 2)))
+        assert np.max(np.abs(got - dense)) <= 1e-13 * scale
 
 
 # -- surface closure -------------------------------------------------------

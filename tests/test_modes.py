@@ -122,6 +122,71 @@ def test_degenerate_shell_order_independence(cube_modeset):
     assert idx0 == idx1
 
 
+def reference_modes(geometry, n_max, c=1.0):
+    """Per-triple loop with the scalar arithmetic of the original build:
+    rows (m, n, p, branch), omegas, k and amplitudes, sorted by
+    (omega, m, n, p, branch)."""
+    eps_b = geometry.eps_b
+    lengths = geometry.lengths
+    vol = geometry.volume
+    rows = []
+    for m in range(n_max + 1):
+        for n in range(n_max + 1):
+            for p in range(n_max + 1):
+                n_zero = (m == 0) + (n == 0) + (p == 0)
+                if n_zero >= 2:
+                    continue
+                kvec = np.pi * np.array([m, n, p]) / lengths
+                knorm = float(np.linalg.norm(kvec))
+                omega = c * knorm / np.sqrt(eps_b)
+                if n_zero == 1:
+                    amp = np.zeros(3)
+                    amp[(m, n, p).index(0)] = 2.0 / np.sqrt(eps_b * vol)
+                    rows.append((omega, m, n, p, 1, kvec, amp))
+                    continue
+                kpar = float(np.hypot(kvec[0], kvec[1]))
+                a1 = np.array([kvec[1], -kvec[0], 0.0]) / kpar
+                a2 = np.array([kvec[2] * kvec[0], kvec[2] * kvec[1],
+                               -kpar**2]) / (knorm * kpar)
+                scale = np.sqrt(8.0 / (eps_b * vol))
+                rows.append((omega, m, n, p, 1, kvec, a1 * scale))
+                rows.append((omega, m, n, p, 2, kvec, a2 * scale))
+    rows.sort(key=lambda row: row[:5])
+    return (np.array([row[1:5] for row in rows]),
+            np.array([row[0] for row in rows]),
+            np.array([row[5] for row in rows]),
+            np.array([row[6] for row in rows]))
+
+
+@pytest.mark.parametrize("lengths, eps_b, n_max", [
+    ((1.0, 1.0, 1.0), 1.0, 10),
+    ((1.3, 0.7, 2.1), 2.25, 9),
+])
+def test_vectorized_build_matches_reference_loop(lengths, eps_b, n_max):
+    geom = CavityGeometry(*lengths, background=ConstantScalar(eps_b))
+    ms = build_pec_box_modes(geom, n_max)
+    idx, omegas, kvecs, amps = reference_modes(geom, n_max)
+    # bitwise: the order of degenerate shells depends on every omega bit
+    assert np.array_equal(ms.idx, idx)
+    assert np.array_equal(ms.omegas, omegas)
+    assert np.array_equal(np.array([e.kvec for e in ms]), kvecs)
+    got = np.array([e.amplitude for e in ms.entries])
+    assert np.all(np.abs(got - amps) <= np.spacing(np.abs(amps)))
+    e = ms[-1]
+    assert (e.index.m, e.index.n, e.index.p, e.index.branch) == tuple(idx[-1])
+    assert e.omega == omegas[-1] and e.geometry is geom
+
+    # a degenerate shell handed to subset in reverse comes back sorted,
+    # and its closed-form overlap is still the identity
+    shell = np.flatnonzero(ms.omegas == ms.omegas[40])
+    assert len(shell) > 1
+    sub = ms.subset(shell[::-1])
+    assert np.array_equal(sub.idx, ms.idx[shell])
+    gram = np.array([[sub.overlap(i, j) for j in range(len(sub))]
+                     for i in range(len(sub))])
+    assert np.max(np.abs(gram - np.eye(len(sub)))) < 1e-12
+
+
 def test_plane_wave_mode_polarizations():
     k = np.array([np.pi, 2 * np.pi, 0.5 * np.pi])
     vol = 8.0
