@@ -11,7 +11,7 @@ solvers built on either route.
 __version__ = "0.1.0"
 
 from .atom import Drive, TwoLevelAtom
-from .constants import Constants, ThermalState, thermal_occupation, thermal_weight
+from .constants import Constants, ThermalState, thermal_occupation
 from .decay import (
     DecayResult,
     MemoryKernel,
@@ -38,7 +38,6 @@ from .identities import (
     check_conversion_p1,
     check_magic_formula,
     check_surface_term,
-    vacuum_correlation_spectrum,
 )
 from .master import (
     BathCorrelations,
@@ -57,30 +56,23 @@ from .modes import (
     ModeIndex,
     ModeSet,
     build_pec_box_modes,
-    coupling_constant,
     coupling_strengths,
-    plane_wave_mode,
 )
 from .numerics import (
     ConvergenceError,
     Grid1D,
     QuadratureSpec,
     TailTruncationWarning,
-    gauss_panels,
     integrate_adaptive,
     integrate_pv,
     sommerfeld_radial,
     volterra_march,
 )
 from .permittivity import (
-    Box,
     ConstantScalar,
     ConstantTensor,
     DrudeLorentz,
     PermittivityModel,
-    PiecewiseRegions,
-    Sphere,
-    eval_permittivity,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

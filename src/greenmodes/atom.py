@@ -41,10 +41,3 @@ class TwoLevelAtom:
         if np.linalg.norm(self.dipole) == 0.0:
             raise ValueError("dipole moment must be nonzero")
 
-    @property
-    def dipole_norm(self):
-        return float(np.linalg.norm(self.dipole))
-
-    @property
-    def dipole_unit(self):
-        return self.dipole / self.dipole_norm

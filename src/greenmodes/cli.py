@@ -37,7 +37,7 @@ from .master import (
     spectral_density_nmqed,
 )
 from .modes import CavityGeometry, build_pec_box_modes
-from .numerics import ConvergenceError, QuadratureSpec
+from .numerics import QuadratureSpec
 from .permittivity import ConstantScalar, DrudeLorentz
 
 EXIT_OK = 0
@@ -74,87 +74,84 @@ def _check_keys(block, where, allowed, required=()):
             raise SchemaError("missing key '%s' in %s" % (key, where))
 
 
-def _float(block, key, where, default=None, minimum=None):
-    if key not in block:
-        if default is None:
-            raise SchemaError("missing key '%s' in %s" % (key, where))
-        return default
-    v = block[key]
+_REQUIRED = object()  # default of a field that must be present
+
+
+def _field(check):
+    """Field reader read(block, key, where, default=_REQUIRED, **limits)
+    from a value check check(value, name, **limits): the value under
+    where.key is checked; an absent key gives default unchecked, or a
+    schema error when the default is _REQUIRED."""
+
+    def read(block, key, where, default=_REQUIRED, **limits):
+        if key not in block:
+            if default is _REQUIRED:
+                raise SchemaError("missing key '%s' in %s" % (key, where))
+            return default
+        return check(block[key], "%s.%s" % (where, key), **limits)
+
+    return read
+
+
+def _number(v, name, minimum=None):
+    """v as a finite float.  json.loads accepts NaN and Infinity, so the
+    finiteness check is part of the schema; an integer beyond the float
+    range counts as infinite."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError("%s.%s must be a number" % (where, key))
+        raise SchemaError("%s must be a number" % name)
+    if not abs(v) <= sys.float_info.max:
+        raise SchemaError("%s must be finite" % name)
     v = float(v)
     if minimum is not None and v < minimum:
-        raise SchemaError("%s.%s must be >= %g" % (where, key, minimum))
+        raise SchemaError("%s must be >= %g" % (name, minimum))
     return v
 
 
-def _int(block, key, where, default=None, minimum=None):
-    if key not in block:
-        if default is None:
-            raise SchemaError("missing key '%s' in %s" % (key, where))
-        return default
-    v = block[key]
+def _integer(v, name, minimum=None):
     if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError("%s.%s must be an integer" % (where, key))
+        raise SchemaError("%s must be an integer" % name)
     if minimum is not None and v < minimum:
-        raise SchemaError("%s.%s must be >= %d" % (where, key, minimum))
+        raise SchemaError("%s must be >= %d" % (name, minimum))
     return v
 
 
-def _str(block, key, where, default=None, choices=None):
-    if key not in block:
-        if default is None:
-            raise SchemaError("missing key '%s' in %s" % (key, where))
-        return default
-    v = block[key]
+def _string(v, name, choices=None):
     if not isinstance(v, str):
-        raise SchemaError("%s.%s must be a string" % (where, key))
+        raise SchemaError("%s must be a string" % name)
     if choices is not None and v not in choices:
-        raise SchemaError("%s.%s must be one of %s" % (where, key, sorted(choices)))
+        raise SchemaError("%s must be one of %s" % (name, sorted(choices)))
     return v
 
 
-def _bool(block, key, where, default=False):
-    v = block.get(key, default)
-    if not isinstance(v, bool):
-        raise SchemaError("%s.%s must be true or false" % (where, key))
-    return v
+def _numbers(v, name, size=None):
+    """A list of numbers as floats: exactly size of them, or at least one
+    when size is None."""
+    if not isinstance(v, list) or not v or size not in (None, len(v)):
+        raise SchemaError("%s must be a list of %s numbers"
+                          % (name, size or "one or more"))
+    return [_number(x, "%s[%d]" % (name, i)) for i, x in enumerate(v)]
 
 
-def _vec3(block, key, where, default=None):
-    if key not in block:
-        if default is None:
-            raise SchemaError("missing key '%s' in %s" % (key, where))
-        return default
-    v = block[key]
-    if (not isinstance(v, list) or len(v) != 3
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)):
-        raise SchemaError("%s.%s must be a list of 3 numbers" % (where, key))
-    return [float(x) for x in v]
-
-
-def _num_list(block, key, where, default=None):
-    if key not in block:
-        if default is None:
-            raise SchemaError("missing key '%s' in %s" % (key, where))
-        return default
-    v = block[key]
-    if (not isinstance(v, list) or not v
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)):
-        raise SchemaError("%s.%s must be a non-empty list of numbers" % (where, key))
-    return [float(x) for x in v]
-
-
-def _vec3_list(block, key, where):
-    if key not in block:
-        raise SchemaError("missing key '%s' in %s" % (key, where))
-    v = block[key]
+def _vec3s(v, name):
     if not isinstance(v, list) or not v:
-        raise SchemaError("%s.%s must be a non-empty list of 3-vectors" % (where, key))
-    return [
-        _vec3({"_": item}, "_", "%s.%s[%d]" % (where, key, i))
-        for i, item in enumerate(v)
-    ]
+        raise SchemaError("%s must be a non-empty list of 3-vectors" % name)
+    return [_numbers(x, "%s[%d]" % (name, i), size=3) for i, x in enumerate(v)]
+
+
+def _boolean(v, name):
+    if not isinstance(v, bool):
+        raise SchemaError("%s must be true or false" % name)
+    return v
+
+
+_float = _field(_number)
+_int = _field(_integer)
+_str = _field(_string)
+_num_list = _field(_numbers)
+_vec3 = _field(lambda v, name: _numbers(v, name, size=3))
+_vec3_list = _field(_vec3s)
+_bool = _field(_boolean)
+_object = _field(_require_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -193,28 +190,22 @@ def _build_permittivity(block, where):
     if model == "constant":
         _check_keys(block, where, allowed={"model", "value"}, required=("value",))
         v = block["value"]
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return ConstantScalar(complex(float(v)))
-        if (isinstance(v, list) and len(v) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-            return ConstantScalar(complex(float(v[0]), float(v[1])))
-        raise SchemaError("%s.value must be a number or [re, im]" % where)
+        if isinstance(v, list) and len(v) == 2:
+            v = _numbers(v, where + ".value")
+            return ConstantScalar(complex(v[0], v[1]))
+        return ConstantScalar(complex(_number(v, where + ".value")))
     _check_keys(block, where, allowed={"model", "eps_inf", "poles"})
     eps_inf = _float(block, "eps_inf", where, default=1.0)
     poles = block.get("poles", [])
     if not isinstance(poles, list):
         raise SchemaError("%s.poles must be a list of [wp, w0, g]" % where)
-    parsed = []
-    for i, p in enumerate(poles):
-        parsed.append(tuple(_vec3({"_": p}, "_", "%s.poles[%d]" % (where, i))))
+    parsed = [tuple(_numbers(p, "%s.poles[%d]" % (where, i), size=3))
+              for i, p in enumerate(poles)]
     return DrudeLorentz(eps_inf=eps_inf, poles=parsed)
 
 
 def _build_geometry(scenario, expect=None):
-    block = _require_dict(scenario.get("geometry"), "geometry") \
-        if "geometry" in scenario else None
-    if block is None:
-        raise SchemaError("missing key 'geometry' in scenario")
+    block = _object(scenario, "geometry", "scenario")
     kind = _str(block, "type", "geometry", choices={"bulk", "pec_box"})
     if expect is not None and kind != expect:
         raise SchemaError("geometry.type must be '%s' for this subcommand" % expect)
@@ -239,10 +230,13 @@ def _build_geometry(scenario, expect=None):
     return "pec_box", (geom, n_max, eta)
 
 
+def _build_modeset(scenario, const):
+    _, (geom, n_max, _) = _build_geometry(scenario, expect="pec_box")
+    return build_pec_box_modes(geom, n_max, const=const)
+
+
 def _build_atom(scenario, const):
-    if "atom" not in scenario:
-        raise SchemaError("missing key 'atom' in scenario")
-    block = _require_dict(scenario["atom"], "atom")
+    block = _object(scenario, "atom", "scenario")
     _check_keys(block, "atom",
                 allowed={"position", "dipole", "omega0", "drive"},
                 required=("position", "dipole", "omega0"))
@@ -345,28 +339,22 @@ def _write_json(path, payload):
 
 
 def _run_modes(scenario, qspec, const, outdir, fmt, stem):
-    kind, payload = _build_geometry(scenario, expect="pec_box")
-    geom, n_max, _ = payload
-    modeset = build_pec_box_modes(geom, n_max, const=const)
-    ext = "json" if fmt == "json" else "csv"
-    table = os.path.join(outdir, "%s_modes.%s" % (stem, ext))
+    modeset = _build_modeset(scenario, const)
+    table = os.path.join(outdir, "%s_modes.%s" % (stem, fmt))
     _write_table(table, ("m", "n", "p", "branch", "omega"),
                  list(modeset.idx.T) + [modeset.omegas], fmt)
     summary = {
         "n_modes": len(modeset),
         "omega_min": float(modeset.omegas.min()),
         "omega_top": float(modeset.omega_top),
-        "volume": float(geom.volume),
+        "volume": float(modeset.geometry.volume),
     }
     return [table], summary
 
 
 def _run_green(scenario, qspec, const, outdir, fmt, stem):
     backend = _build_green_backend(scenario, qspec, const)
-    block = _require_dict(scenario.get("evaluation"), "evaluation") \
-        if "evaluation" in scenario else None
-    if block is None:
-        raise SchemaError("missing key 'evaluation' in scenario")
+    block = _object(scenario, "evaluation", "scenario")
     _check_keys(block, "evaluation",
                 allowed={"points", "sources", "frequencies"},
                 required=("points", "sources", "frequencies"))
@@ -389,28 +377,21 @@ def _run_green(scenario, qspec, const, outdir, fmt, stem):
                 for j in range(3):
                     row += [g[i, j].real, g[i, j].imag]
             rows.append(tuple(row))
-    ext = "json" if fmt == "json" else "csv"
-    table = os.path.join(outdir, "%s_green.%s" % (stem, ext))
+    table = os.path.join(outdir, "%s_green.%s" % (stem, fmt))
     _write_table(table, columns, np.array(rows).T, fmt)
     return [table], {"n_rows": len(rows), "backend": type(backend).__name__}
 
 
 def _run_check_p1(scenario, qspec, const, outdir, fmt, stem):
-    kind, payload = _build_geometry(scenario, expect="pec_box")
-    geom, n_max, _ = payload
-    modeset = build_pec_box_modes(geom, n_max, const=const)
+    modeset = _build_modeset(scenario, const)
     block = _require_dict(scenario.get("conversion", {}), "conversion")
     _check_keys(block, "conversion",
                 allowed={"r", "r0", "eta", "omega_max", "lhs_path"},
                 required=("r", "r0"))
     r = _vec3(block, "r", "conversion")
     r0 = _vec3(block, "r0", "conversion")
-    eta = block.get("eta")
-    if eta is not None:
-        eta = _float(block, "eta", "conversion", minimum=0.0)
-    omega_max = block.get("omega_max")
-    if omega_max is not None:
-        omega_max = _float(block, "omega_max", "conversion")
+    eta = _float(block, "eta", "conversion", None, minimum=0.0)
+    omega_max = _float(block, "omega_max", "conversion", None)
     path = _str(block, "lhs_path", "conversion", default="softened",
                 choices={"softened", "analytic"})
     report = check_conversion_p1(modeset, np.array(r), np.array(r0),
@@ -433,9 +414,7 @@ def _run_check_magic(scenario, qspec, const, outdir, fmt, stem):
     omega = _float(block, "omega", "magic", minimum=0.0)
     deltas = _num_list(block, "deltas", "magic")
     eps_real = _float(block, "eps_real", "magic", default=1.0)
-    excl = block.get("exclusion_radius")
-    if excl is not None:
-        excl = _float(block, "exclusion_radius", "magic", minimum=0.0)
+    excl = _float(block, "exclusion_radius", "magic", None, minimum=0.0)
     reports = []
     for delta in deltas:
         eps_model = ConstantScalar(complex(eps_real, delta))
@@ -502,15 +481,10 @@ def _build_ww_kernel(scenario, qspec, const, atom):
     route = _str(block, "route", "kernel", default="lna",
                  choices={"lna", "nmqed"})
     if route == "nmqed":
-        kind, payload = _build_geometry(scenario, expect="pec_box")
-        geom, n_max, _ = payload
-        modeset = build_pec_box_modes(geom, n_max, const=const)
-        return kernel_nmqed(modeset, atom)
+        return kernel_nmqed(_build_modeset(scenario, const), atom)
     backend = _build_green_backend(scenario, qspec, const)
     analytic = _bool(block, "analytic_limit", "kernel", default=False)
-    omega_max = block.get("omega_max")
-    if omega_max is not None:
-        omega_max = _float(block, "omega_max", "kernel", minimum=0.0)
+    omega_max = _float(block, "omega_max", "kernel", None, minimum=0.0)
     return kernel_lna(backend, atom, spec=qspec, omega_max=omega_max,
                       analytic_limit=analytic)
 
@@ -523,14 +497,12 @@ def _run_ww(scenario, qspec, const, outdir, fmt, stem):
                 required=("t_max", "n_steps"))
     t_max = _float(tblock, "t_max", "time", minimum=0.0)
     n_steps = _int(tblock, "n_steps", "time", minimum=10)
-    window = tblock.get("fit_window", [0.35, 0.95])
-    window = _num_list({"w": window}, "w", "time.fit_window")
+    window = _num_list(tblock, "fit_window", "time", [0.35, 0.95])
     if len(window) != 2 or not 0.0 <= window[0] < window[1] <= 1.0:
         raise SchemaError("time.fit_window must be [lo, hi] fractions in [0, 1]")
     result = solve_volterra(kernel, t_max, n_steps, fit_window=tuple(window))
     gamma, delta = markov_rate_and_shift(kernel, atom, qspec)
-    ext = "json" if fmt == "json" else "csv"
-    table = os.path.join(outdir, "%s_ww.%s" % (stem, ext))
+    table = os.path.join(outdir, "%s_ww.%s" % (stem, fmt))
     _write_table(table, ("t", "re_c", "im_c", "population"),
                  (result.times, result.c_es.real, result.c_es.imag,
                   result.population), fmt)
@@ -560,15 +532,11 @@ def _build_density(scenario, qspec, const, atom):
     temperature = ThermalState(_float(block, "temperature", "bath", default=0.0,
                                       minimum=0.0), const)
     if route == "nmqed":
-        kind, payload = _build_geometry(scenario, expect="pec_box")
-        geom, n_max, _ = payload
-        modeset = build_pec_box_modes(geom, n_max, const=const)
-        return spectral_density_nmqed(modeset, atom, temperature=temperature)
+        return spectral_density_nmqed(_build_modeset(scenario, const), atom,
+                                      temperature=temperature)
     backend = _build_green_backend(scenario, qspec, const)
     analytic = _bool(block, "analytic_limit", "bath", default=False)
-    omega_max = block.get("omega_max")
-    if omega_max is not None:
-        omega_max = _float(block, "omega_max", "bath", minimum=0.0)
+    omega_max = _float(block, "omega_max", "bath", None, minimum=0.0)
     return spectral_density_lna(backend, atom, spec=qspec,
                                 omega_max=omega_max, temperature=temperature,
                                 analytic_limit=analytic)
@@ -591,8 +559,7 @@ def _run_master(scenario, qspec, const, outdir, fmt, stem):
     init = _require_dict(scenario.get("initial_state", {}), "initial_state")
     _check_keys(init, "initial_state", allowed={"rho_ee", "rho_eg"})
     p_ee = _float(init, "rho_ee", "initial_state", default=1.0)
-    coh = init.get("rho_eg", [0.0, 0.0])
-    coh = _num_list({"c": coh}, "c", "initial_state.rho_eg")
+    coh = _num_list(init, "rho_eg", "initial_state", [0.0, 0.0])
     if len(coh) != 2:
         raise SchemaError("initial_state.rho_eg must be [re, im]")
     rho0 = np.array([[p_ee, coh[0] + 1j * coh[1]],
@@ -601,8 +568,7 @@ def _run_master(scenario, qspec, const, outdir, fmt, stem):
     traj = evolve_master_equation(atom, density, rho0, t_max, n_steps,
                                   mode=mode, spec=qspec, tol=tol,
                                   max_refinements=max_ref)
-    ext = "json" if fmt == "json" else "csv"
-    table = os.path.join(outdir, "%s_master.%s" % (stem, ext))
+    table = os.path.join(outdir, "%s_master.%s" % (stem, fmt))
     _write_table(table, ("t", "rho_ee", "re_rho_eg", "im_rho_eg"),
                  (traj.times, traj.rho_ee, traj.rho_eg.real, traj.rho_eg.imag),
                  fmt)
@@ -684,7 +650,6 @@ def _apply_override(scenario, assignment):
 
 
 def _validate_scenario(subcommand, scenario):
-    _require_dict(scenario, "scenario")
     _check_keys(scenario, "scenario", allowed=_ALLOWED_TOP[subcommand],
                 required=("name",))
     name = scenario["name"]
@@ -697,6 +662,14 @@ def _validate_scenario(subcommand, scenario):
     if "description" in scenario and not isinstance(scenario["description"], str):
         raise SchemaError("scenario.description must be a string")
     return name
+
+
+# exception -> exit code, first match wins: a bad scenario (ValueError
+# covers malformed JSON, undecodable bytes and rejected parameters),
+# failed numerics (ConvergenceError, ResonanceError, march and master
+# failures are RuntimeErrors), failed I/O
+_EXIT_CODES = {SchemaError: EXIT_SCHEMA, RuntimeError: EXIT_NUMERIC,
+               ValueError: EXIT_SCHEMA, OSError: EXIT_IO}
 
 
 def _error_payload(code, exc):
@@ -726,69 +699,38 @@ def main(argv=None):
 
     t_start = time.time()
     try:
-        with open(args.config, "r") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        print(json.dumps(_error_payload(EXIT_IO, exc)), file=sys.stderr)
-        return EXIT_IO
-    try:
-        scenario = json.loads(raw)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            scenario = _require_dict(json.loads(fh.read()), "scenario")
         for assignment in args.overrides:
             _apply_override(scenario, assignment)
         name = _validate_scenario(args.subcommand, scenario)
         const = _build_constants(scenario)
         qspec = _build_quadrature(scenario)
-    except (SchemaError, json.JSONDecodeError, ValueError) as exc:
-        print(json.dumps(_error_payload(EXIT_SCHEMA, exc)), file=sys.stderr)
-        return EXIT_SCHEMA
 
-    outdir = args.out or os.environ.get(OUT_ENV_VAR) or os.getcwd()
-    try:
+        outdir = args.out or os.environ.get(OUT_ENV_VAR) or os.getcwd()
         os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        print(json.dumps(_error_payload(EXIT_IO, exc)), file=sys.stderr)
-        return EXIT_IO
-
-    runner = _RUNNERS[args.subcommand]
-    caught = []
-    try:
         with _warnings.catch_warnings(record=True) as wrec:
             _warnings.simplefilter("always")
-            files, summary = runner(scenario, qspec, const, outdir,
-                                    args.format, name)
+            files, summary = _RUNNERS[args.subcommand](
+                scenario, qspec, const, outdir, args.format, name)
             caught = ["%s: %s" % (type(w.message).__name__, w.message)
                       for w in wrec]
-    except SchemaError as exc:
-        print(json.dumps(_error_payload(EXIT_SCHEMA, exc)), file=sys.stderr)
-        return EXIT_SCHEMA
-    except ConvergenceError as exc:
-        print(json.dumps(_error_payload(EXIT_NUMERIC, exc)), file=sys.stderr)
-        return EXIT_NUMERIC
-    except RuntimeError as exc:
-        print(json.dumps(_error_payload(EXIT_NUMERIC, exc)), file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(json.dumps(_error_payload(EXIT_SCHEMA, exc)), file=sys.stderr)
-        return EXIT_SCHEMA
-    except OSError as exc:
-        print(json.dumps(_error_payload(EXIT_IO, exc)), file=sys.stderr)
-        return EXIT_IO
 
-    envelope = {
-        "subcommand": args.subcommand,
-        "version": __version__,
-        "scenario": scenario,
-        "files": [os.path.basename(f) for f in files],
-        "timings": {"total_s": time.time() - t_start},
-        "warnings": caught,
-        "summary": _jsonable(summary),
-    }
-    env_path = os.path.join(outdir, "%s_envelope.json" % name)
-    try:
-        _write_json(env_path, envelope)
-    except OSError as exc:
-        print(json.dumps(_error_payload(EXIT_IO, exc)), file=sys.stderr)
-        return EXIT_IO
+        envelope = {
+            "subcommand": args.subcommand,
+            "version": __version__,
+            "scenario": scenario,
+            "files": [os.path.basename(f) for f in files],
+            "timings": {"total_s": time.time() - t_start},
+            "warnings": caught,
+            "summary": _jsonable(summary),
+        }
+        _write_json(os.path.join(outdir, "%s_envelope.json" % name), envelope)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
+        print(json.dumps(_error_payload(code, exc)), file=sys.stderr)
+        return code
     if not args.quiet:
         for key, value in sorted(_jsonable(summary).items()):
             print("%s: %s" % (key, value))

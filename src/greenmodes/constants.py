@@ -50,11 +50,6 @@ def thermal_occupation(omega, temperature, const=None):
     return out if omega.ndim else float(out)
 
 
-def thermal_weight(omega, temperature, const=None):
-    """Symmetrized weight 1 + 2 n(omega, T) = coth(hbar omega / 2 kB T)."""
-    return 1.0 + 2.0 * thermal_occupation(omega, temperature, const)
-
-
 @dataclass(frozen=True)
 class ThermalState:
     """Bath temperature bundled with the unit system it is expressed in."""
@@ -64,6 +59,3 @@ class ThermalState:
 
     def occupation(self, omega):
         return thermal_occupation(omega, self.temperature, self.const)
-
-    def weight(self, omega):
-        return thermal_weight(omega, self.temperature, self.const)

@@ -16,11 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .master import (  # noqa: F401  (resonance_edge_hints is re-exported)
+from .master import (
     SpectralDensity,
     bath_correlations,
     markov_coefficients,
-    resonance_edge_hints,
     spectral_density_lna,
     spectral_density_nmqed,
 )

@@ -97,19 +97,23 @@ def default_k_max(k, lateral, dz, multiplier=30.0):
     return min(km, 500.0 * abs(k))
 
 
-def _sommerfeld_integrand(kpar, k, lateral, dz_abs, sign_z):
+def _bessel_dyad(kpar, kperp, k, lateral, sign_z):
+    """Azimuth-integrated plane-wave dyad of the planar decomposition,
+    shape kpar.shape + (3, 3), in the frame whose x axis lies along the
+    lateral separation.
+
+    Built from J0, J1, J2 of k_par times the lateral distance; sign_z is
+    the sign of z - z0.  Callers multiply by their own measure and by
+    e^{i k_perp |dz|}.
+    """
     from scipy import special
 
-    kperp = np.sqrt(k * k - kpar * kpar + 0j)
-    flip = kperp.imag < 0.0
-    kperp = np.where(flip, -kperp, kperp)
     q = kperp / k
     pp = kpar / k
     alpha = kpar * lateral
     j0 = special.j0(alpha)
     j1 = special.j1(alpha)
     j2 = special.jv(2, alpha)
-    pref = (1j / (8.0 * np.pi**2)) * (kpar / kperp) * np.exp(1j * kperp * dz_abs)
     out = np.zeros(kpar.shape + (3, 3), dtype=complex)
     out[:, 0, 0] = np.pi * ((j0 + j2) + q**2 * (j0 - j2))
     out[:, 1, 1] = np.pi * ((j0 - j2) + q**2 * (j0 + j2))
@@ -117,7 +121,15 @@ def _sommerfeld_integrand(kpar, k, lateral, dz_abs, sign_z):
     xz = -sign_z * 2j * np.pi * q * pp * j1
     out[:, 0, 2] = xz
     out[:, 2, 0] = xz
-    return pref[:, None, None] * out
+    return out
+
+
+def _sommerfeld_integrand(kpar, k, lateral, dz_abs, sign_z):
+    kperp = np.sqrt(k * k - kpar * kpar + 0j)
+    flip = kperp.imag < 0.0
+    kperp = np.where(flip, -kperp, kperp)
+    pref = (1j / (8.0 * np.pi**2)) * (kpar / kperp) * np.exp(1j * kperp * dz_abs)
+    return pref[:, None, None] * _bessel_dyad(kpar, kperp, k, lateral, sign_z)
 
 
 def bulk_green_sommerfeld(r, r0, omega, eps, spec=None, k_max=None, const=None):

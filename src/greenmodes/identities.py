@@ -30,6 +30,7 @@ import numpy as np
 
 from .constants import Constants
 from .greens import (
+    _bessel_dyad,
     _bulk_green_batch,
     _green_coefficients,
     _green_factors,
@@ -37,8 +38,8 @@ from .greens import (
     im_green_coincidence,
     wavenumber,
 )
-from .numerics import QuadratureSpec, gauss_panels, integrate_adaptive
-from .permittivity import ConstantScalar, ConstantTensor
+from .numerics import QuadratureSpec, gauss_legendre, integrate_adaptive
+from .permittivity import ConstantTensor
 from .tensors import I3, dagger, is_psd, max_abs, r3
 
 
@@ -166,10 +167,10 @@ def _ball_rule(radius, n_r=32, n_t=16, n_p=8):
     """Product rule for a ball at the origin: Gauss radial x Gauss cos(theta)
     x trapezoid phi.  Angular symmetry integrates direction dyads exactly,
     which is what tames the 1/rho^3 core of the integrand."""
-    xr, wr = np.polynomial.legendre.leggauss(n_r)
+    xr, wr = gauss_legendre(n_r)
     rho = 0.5 * radius * (xr + 1.0)
     w_rho = 0.5 * radius * wr * rho**2
-    ct, wt = np.polynomial.legendre.leggauss(n_t)
+    ct, wt = gauss_legendre(n_t)
     st = np.sqrt(1.0 - ct**2)
     phi = 2.0 * np.pi * np.arange(n_p) / n_p
     w_phi = 2.0 * np.pi / n_p
@@ -232,8 +233,8 @@ def _far_region_nodes(d_vec, a, im_k, u_cap=None, n_mu=24, n_chi=24, n_phi=8):
     t = 2.0 * a / d
     mu_a = float(np.arccosh(1.0 + t))
 
-    xg, wg = np.polynomial.legendre.leggauss(n_mu)
-    xgc, wgc = np.polynomial.legendre.leggauss(n_chi)
+    xg, wg = gauss_legendre(n_mu)
+    xgc, wgc = gauss_legendre(n_chi)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * np.pi / n_phi
 
@@ -459,7 +460,7 @@ def check_magic_formula(green, eps_model, r, r0, omega, spec=None,
 
 
 def _sphere_rule(center, radius, n_theta):
-    ct, wt = np.polynomial.legendre.leggauss(n_theta)
+    ct, wt = gauss_legendre(n_theta)
     st = np.sqrt(1.0 - ct**2)
     n_phi = 2 * n_theta
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -561,51 +562,23 @@ def check_surface_term(green, sphere_radius, r, r0, omega, spec=None,
 
 
 def _planar_im_integrand_pieces(omega, lateral, dz, const):
-    from scipy import special
-
     k = omega / const.c
     s_z = float(np.sign(dz))
     dz = abs(dz)
 
     def propagating(theta):
-        kpar = k * np.sin(theta)
         kperp = k * np.cos(theta)
-        alpha = kpar * lateral
-        j0 = special.j0(alpha)
-        j1 = special.j1(alpha)
-        j2 = special.jv(2, alpha)
-        q = kperp / k
-        pp = kpar / k
-        out = np.zeros(theta.shape + (3, 3))
-        cosz = np.cos(kperp * dz)
-        sinz = np.sin(kperp * dz)
-        out[:, 0, 0] = np.pi * ((j0 + j2) + q**2 * (j0 - j2)) * cosz
-        out[:, 1, 1] = np.pi * ((j0 - j2) + q**2 * (j0 + j2)) * cosz
-        out[:, 2, 2] = 2.0 * np.pi * pp**2 * j0 * cosz
-        xz = s_z * 2.0 * np.pi * q * pp * j1 * sinz
-        out[:, 0, 2] = xz
-        out[:, 2, 0] = xz
-        # k_par dk_par / k_perp = k sin(theta) d(theta); the branch-point
-        # factor is absorbed by the substitution
-        return k * np.sin(theta)[:, None, None] * out
+        phase = np.cos(kperp * dz) + 1j * np.sin(kperp * dz)
+        # Im(i dyad e^{i k_perp dz}) = Re(dyad e^{i k_perp dz});
+        # k_par dk_par / k_perp = k sin(theta) d(theta) absorbs the
+        # branch-point factor
+        full = _bessel_dyad(k * np.sin(theta), kperp, k, lateral, s_z) \
+            * phase[:, None, None]
+        return k * np.sin(theta)[:, None, None] * full.real
 
     def evanescent(mu):
-        kpar = k * np.cosh(mu)
         kappa = k * np.sinh(mu)
-        kperp = 1j * kappa
-        alpha = kpar * lateral
-        j0 = special.j0(alpha)
-        j1 = special.j1(alpha)
-        j2 = special.jv(2, alpha)
-        q = kperp / k
-        pp = kpar / k
-        m = np.zeros(mu.shape + (3, 3), dtype=complex)
-        m[:, 0, 0] = np.pi * ((j0 + j2) + q**2 * (j0 - j2))
-        m[:, 1, 1] = np.pi * ((j0 - j2) + q**2 * (j0 + j2))
-        m[:, 2, 2] = 2.0 * np.pi * pp**2 * j0
-        xz = -s_z * 2j * np.pi * q * pp * j1
-        m[:, 0, 2] = xz
-        m[:, 2, 0] = xz
+        m = _bessel_dyad(k * np.cosh(mu), 1j * kappa, k, lateral, s_z)
         damp = np.exp(-kappa * dz)
         # i k_par dk_par / k_perp = i k cosh(mu) d(mu) / i = k cosh(mu) d(mu):
         # the overall i of the decomposition cancels against 1/k_perp = -i/kappa
@@ -661,25 +634,3 @@ def check_appendix_lossless_limit(r, r0, omega, spec=None, const=None,
     }
     extras = {"evanescent_term": rot @ evan_local @ rot.T}
     return make_report(lhs, rhs, meta, extras)
-
-
-# ---------------------------------------------------------------------------
-# fluctuation spectrum at coincidence
-
-
-def vacuum_correlation_spectrum(green, r, omega, temperature, const=None):
-    """Spectral tensor of the field fluctuations at one point.
-
-    (hbar (w/c)^2 / 2 eps0^2) N(w, T) Im G(r, r, w) with N = 1 + 2 nbar.
-    Only meaningful where the coincidence Im G is finite; lossy media at
-    the evaluation point raise through im_coincidence.
-    """
-    const = const or getattr(green, "const", None) or Constants.natural()
-    if omega <= 0.0:
-        raise ValueError("need omega > 0")
-    from .constants import thermal_weight
-
-    im_g = green.im_coincidence(r, omega)
-    n_fac = thermal_weight(omega, temperature, const)
-    pref = const.hbar * (omega / const.c) ** 2 / (2.0 * const.eps0**2)
-    return pref * n_fac * im_g

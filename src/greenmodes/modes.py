@@ -1,5 +1,5 @@
 """Eigenmodes of a perfectly conducting rectangular box filled with a
-uniform lossless dielectric, plus plane-wave modes and atom-mode coupling.
+uniform lossless dielectric, and their coupling strengths to an atom.
 
 Mode functions are the standard trigonometric transverse patterns
 
@@ -276,46 +276,6 @@ def build_pec_box_modes(geometry, n_max, const=None):
         np.concatenate([k[one], kk, kk]),
         np.concatenate([amp0, a1 * scale, a2 * scale]),
         n_max, const)
-
-
-def plane_wave_mode(k_vector, s, volume):
-    """Normalized plane-wave mode e_{ks} exp(ik.r)/sqrt(V).
-
-    s in {1, 2} picks the polarization; (e1, e2, k/|k|) is right-handed.
-    k along +z gives e1 = x, e2 = y.
-    """
-    k = r3(k_vector)
-    knorm = float(np.linalg.norm(k))
-    if knorm == 0.0:
-        raise ValueError("k must be nonzero")
-    if volume <= 0.0:
-        raise ValueError("volume must be positive")
-    if s not in (1, 2):
-        raise ValueError("s must be 1 or 2")
-    khat = k / knorm
-    if abs(khat[0]) < 1e-14 and abs(khat[1]) < 1e-14:
-        e1 = np.array([1.0, 0.0, 0.0])
-    else:
-        e1 = np.cross(np.array([0.0, 0.0, 1.0]), khat)
-        e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(khat, e1)
-    pol = e1 if s == 1 else e2
-
-    def mode(r):
-        r = np.asarray(r, dtype=float)
-        phase = np.exp(1j * (r @ k))
-        return np.multiply.outer(phase, pol) / np.sqrt(volume)
-
-    return mode
-
-
-def coupling_constant(atom, entry, const=None):
-    """Atom-mode coupling g = i sqrt(hbar w_k / 2 eps0) (d . E_k(r0))."""
-    const = const or Constants.natural()
-    if entry.geometry is not None and not entry.geometry.contains(atom.position):
-        raise ValueError("atom position outside the cavity")
-    overlap = float(atom.dipole @ entry.field(atom.position))
-    return 1j * np.sqrt(const.hbar * entry.omega / (2.0 * const.eps0)) * overlap
 
 
 def coupling_strengths(modeset, atom):

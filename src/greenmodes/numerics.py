@@ -1,5 +1,6 @@
-"""Shared numerical kernels: adaptive quadrature, principal values, panel
-Gauss rules, the delay-frequency phase sum, and the Volterra history march.
+"""Shared numerical kernels: adaptive quadrature, principal values, cached
+Gauss-Legendre rules, the delay-frequency phase sum, and the Volterra
+history march.
 
 All routines are deterministic: fixed node sets, fixed subdivision order,
 no randomness and no environment-dependent branching, so repeated runs
@@ -12,6 +13,7 @@ of its new panels in one call to f, and its tolerance scales with the
 running global estimate.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -273,25 +275,14 @@ def sommerfeld_radial(f, k, k_max, spec=None):
     return value, err
 
 
-def gauss_panels(f, edges, n=24):
-    """Fixed-order Legendre-Gauss rule applied panel by panel.
-
-    edges is an increasing array of panel boundaries.  All panels are
-    evaluated in a single vectorized call.  No error estimate; use this
-    where the panel layout already controls accuracy.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("edges must be a 1-d array with >= 2 entries")
-    if np.any(np.diff(edges) <= 0.0):
-        raise ValueError("edges must be strictly increasing")
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    computed once per order and returned read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    lo = edges[:-1][:, None]
-    hw = 0.5 * np.diff(edges)[:, None]
-    nodes = lo + hw * (x[None, :] + 1.0)
-    fx = np.asarray(f(nodes.ravel()))
-    weights = (hw * w[None, :]).ravel()
-    return np.tensordot(weights, fx, axes=(0, 0))
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def fourier_table(weight, a, b, taus, rotation=0.0, n_gauss=24,
@@ -322,7 +313,7 @@ def fourier_table(weight, a, b, taus, rotation=0.0, n_gauss=24,
         # collapse near-duplicate edges so panel widths stay positive
         keep = np.concatenate([[True], np.diff(edges) > 1e-13 * (b - a)])
         edges = edges[keep]
-    x, w = np.polynomial.legendre.leggauss(n_gauss)
+    x, w = gauss_legendre(n_gauss)
     lo = edges[:-1][:, None]
     hw = 0.5 * np.diff(edges)[:, None]
     nodes = (lo + hw * (x[None, :] + 1.0)).ravel()

@@ -1,9 +1,9 @@
 """Permittivity models.
 
-A model maps (position, frequency) to a relative permittivity, either a
-complex scalar or a complex symmetric 3x3 tensor.  All models are passive:
-construction rejects parameters that would describe gain at positive
-frequency.  Evaluation at negative real frequency returns the Schwarz
+A model maps frequency to a relative permittivity, either a complex
+scalar or a complex symmetric 3x3 tensor; every model is homogeneous.
+All models are passive: construction rejects parameters that would
+describe gain at positive frequency.  Evaluation at negative real frequency returns the Schwarz
 reflection eps(-omega) = conj(eps(omega)), which analytic response
 functions satisfy identically and which the constant (single-frequency
 idealization) models enforce by hand.
@@ -11,7 +11,7 @@ idealization) models enforce by hand.
 
 import numpy as np
 
-from .tensors import antihermitian_part_over_i, c33, is_psd, r3
+from .tensors import antihermitian_part_over_i, c33, is_psd
 
 
 class PermittivityModel:
@@ -31,10 +31,6 @@ class PermittivityModel:
             out = out.copy()
             out[neg] = np.conj(out[neg])
         return out[0] if scalar_in else out
-
-    def at(self, r, omega):
-        """Position-resolved value.  Homogeneous models ignore r."""
-        return self.eval(omega)
 
     def _eval_pos(self, omega):
         raise NotImplementedError
@@ -114,69 +110,3 @@ class ConstantTensor(PermittivityModel):
         out = np.empty(omega.shape + (3, 3), dtype=complex)
         out[...] = self.value
         return out
-
-    def absorption_tensor(self):
-        return antihermitian_part_over_i(self.value)
-
-
-class Box:
-    def __init__(self, lo, hi):
-        self.lo = r3(lo)
-        self.hi = r3(hi)
-        if np.any(self.hi <= self.lo):
-            raise ValueError("box needs hi > lo componentwise")
-
-    def contains(self, r):
-        r = r3(r)
-        return bool(np.all(r >= self.lo) and np.all(r <= self.hi))
-
-
-class Sphere:
-    def __init__(self, center, radius):
-        self.center = r3(center)
-        self.radius = float(radius)
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-
-    def contains(self, r):
-        return bool(np.linalg.norm(r3(r) - self.center) <= self.radius)
-
-
-class PiecewiseRegions(PermittivityModel):
-    """Spatially piecewise model: first region containing r wins, else
-    background.  eval() without a position returns the background."""
-
-    def __init__(self, background, regions=()):
-        if not isinstance(background, PermittivityModel):
-            raise TypeError("background must be a PermittivityModel")
-        self.background = background
-        self.regions = tuple(regions)
-        for shape, model in self.regions:
-            if not hasattr(shape, "contains"):
-                raise TypeError("region shape needs a contains() method")
-            if not isinstance(model, PermittivityModel):
-                raise TypeError("region model must be a PermittivityModel")
-
-    def _eval_pos(self, omega):
-        return self.background._eval_pos(omega)
-
-    def at(self, r, omega):
-        for shape, model in self.regions:
-            if shape.contains(r):
-                return model.eval(omega)
-        return self.background.eval(omega)
-
-
-def eval_permittivity(model, r, omega):
-    """Permittivity tensor at one position and frequency.
-
-    Scalar models are promoted to eps * I so callers can treat every model
-    uniformly as a 3x3 tensor.
-    """
-    value = model.at(r, omega)
-    value = np.asarray(value)
-    if value.shape == (3, 3):
-        return value.astype(complex)
-    if value.ndim == 0:
-        return complex(value) * np.eye(3)
-    raise ValueError("permittivity evaluation returned shape %s" % (value.shape,))

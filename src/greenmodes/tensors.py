@@ -5,14 +5,6 @@ import numpy as np
 I3 = np.eye(3)
 
 
-def c3(v):
-    """Coerce to a complex length-3 vector."""
-    out = np.asarray(v, dtype=complex)
-    if out.shape != (3,):
-        raise ValueError("expected a 3-vector, got shape %s" % (out.shape,))
-    return out
-
-
 def r3(v):
     out = np.asarray(v, dtype=float)
     if out.shape != (3,):
@@ -29,20 +21,6 @@ def c33(m):
 
 def dagger(m):
     return np.conj(np.swapaxes(m, -1, -2))
-
-
-def outer(a, b):
-    """Dyadic a b^T (no conjugation)."""
-    return np.multiply.outer(np.asarray(a), np.asarray(b))
-
-
-def bilinear(a, m, b):
-    """a . M . b without conjugating either vector.
-
-    Dipole contractions d.G.d use the bilinear form, not the sesquilinear
-    one; for real dipoles they agree anyway.
-    """
-    return np.asarray(a) @ np.asarray(m) @ np.asarray(b)
 
 
 def antihermitian_part_over_i(m):

@@ -201,12 +201,16 @@ def test_ww_summary_and_files(tmp_path):
     assert env["summary"]["fit_gamma"] == summary["fit_gamma"]
 
 
-def _assert_numeric_failure(code, capsys):
-    assert code == cli.EXIT_NUMERIC
+def _assert_error(code, expect_code, kind, capsys):
+    """The run exited with expect_code and printed exactly one JSON error
+    line of that kind on stderr, with no traceback."""
+    assert code == expect_code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    payload = json.loads(err)
-    assert payload["error"]["kind"] == "convergence"
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"]["kind"] == kind
     return payload
 
 
@@ -216,7 +220,7 @@ def test_ww_step_too_coarse_exits_numeric(tmp_path, capsys):
     payload["time"]["n_steps"] = 10
     cfg = write_scenario(tmp_path / "coarse.json", payload)
     code = run(["ww", "--config", cfg, "--out", tmp_path / "out", "--quiet"])
-    err = _assert_numeric_failure(code, capsys)
+    err = _assert_error(code, cli.EXIT_NUMERIC, "convergence", capsys)
     assert "volterra march" in err["error"]["message"]
 
 
@@ -233,7 +237,7 @@ def test_markov_master_negative_rate_exits_numeric(tmp_path, capsys,
                         lambda density, omega_d, spec=None: (-0.05 + 0j, 0j))
     code = run(["master", "--config", cfg, "--out", tmp_path / "out",
                 "--quiet"])
-    err = _assert_numeric_failure(code, capsys)
+    err = _assert_error(code, cli.EXIT_NUMERIC, "convergence", capsys)
     assert err["error"]["type"] == "RuntimeError"
     assert "negative eigenvalue" in err["error"]["message"]
 
@@ -249,6 +253,52 @@ def test_cavity_resonance_without_softening_exits_numeric(tmp_path, capsys):
     cfg = write_scenario(tmp_path / "resonance.json", payload)
     code = run(["green", "--config", cfg, "--out", tmp_path / "out",
                 "--quiet"])
-    err = _assert_numeric_failure(code, capsys)
+    err = _assert_error(code, cli.EXIT_NUMERIC, "convergence", capsys)
     assert err["error"]["type"] == "ResonanceError"
     assert "resonance" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("subcommand, scenario, override", [
+    ("ww", ww_scenario(), "atom.omega0=NaN"),
+    ("ww", ww_scenario(), "time.t_max=Infinity"),
+    ("ww", ww_scenario(), "geometry.permittivity.value=[1.0, -Infinity]"),
+    ("modes", cube_scenario(), "geometry.lengths=[1,1,NaN]"),
+    ("modes", cube_scenario(), "geometry.lengths=[1,1,%s]" % ("9" * 400)),
+], ids=["omega0-nan", "t_max-inf", "eps-im-neg-inf", "length-nan",
+        "length-huge-int"])
+def test_non_finite_number_exits_schema(tmp_path, capsys, subcommand,
+                                        scenario, override):
+    cfg = write_scenario(tmp_path / "scenario.json", scenario)
+    out = tmp_path / "never-created"
+    code = run([subcommand, "--config", cfg, "--out", out, "--quiet",
+                "--set", override])
+    err = _assert_error(code, cli.EXIT_SCHEMA, "schema", capsys)
+    assert err["error"]["type"] == "SchemaError"
+    assert "finite" in err["error"]["message"]
+    assert list(tmp_path.glob("never-created/*")) == []
+
+
+def test_top_level_array_with_override_exits_schema(tmp_path, capsys):
+    cfg = write_scenario(tmp_path / "array.json", [cube_scenario()])
+    code = run(["modes", "--config", cfg, "--quiet",
+                "--set", "geometry.n_max=3"])
+    err = _assert_error(code, cli.EXIT_SCHEMA, "schema", capsys)
+    assert err["error"]["type"] == "SchemaError"
+
+
+def test_non_utf8_config_exits_schema(tmp_path, capsys):
+    cfg = tmp_path / "latin1.json"
+    payload = dict(cube_scenario(), description="café")
+    cfg.write_bytes(json.dumps(payload, ensure_ascii=False).encode("latin-1"))
+    code = run(["modes", "--config", cfg, "--quiet"])
+    err = _assert_error(code, cli.EXIT_SCHEMA, "schema", capsys)
+    assert err["error"]["type"] == "UnicodeDecodeError"
+
+
+def test_out_naming_a_file_exits_io(tmp_path, capsys):
+    cfg = write_scenario(tmp_path / "cube.json", cube_scenario())
+    occupied = tmp_path / "occupied"
+    occupied.write_text("not a directory")
+    code = run(["modes", "--config", cfg, "--out", occupied, "--quiet"])
+    _assert_error(code, cli.EXIT_IO, "io", capsys)
+    assert occupied.read_text() == "not a directory"

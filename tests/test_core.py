@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 
 from greenmodes import (
-    Box,
     ConstantScalar,
     ConstantTensor,
     Constants,
     DrudeLorentz,
     Drive,
-    PiecewiseRegions,
-    Sphere,
     ThermalState,
     TwoLevelAtom,
-    eval_permittivity,
     thermal_occupation,
 )
 from greenmodes.tensors import (
     antihermitian_part_over_i,
-    bilinear,
     c33,
     dagger,
     is_psd,
@@ -36,17 +31,6 @@ def test_si_preset_light_speed():
     c = Constants.si()
     assert c.c == 299792458.0
     assert 1.0e-34 < c.hbar < 1.1e-34
-
-
-def test_bilinear_matches_elementwise_sum(rng):
-    # a . M . b == sum_ij a_i M_ij b_j for random complex data
-    for _ in range(50):
-        a = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        direct = sum(a[i] * m[i, j] * b[j] for i in range(3) for j in range(3))
-        got = bilinear(a, m, b)
-        assert abs(got - direct) <= 1e-14 * max(abs(direct), 1.0)
 
 
 def test_dagger_involution_exact(rng):
@@ -79,8 +63,6 @@ ALL_MODELS = [
     ConstantScalar(2.25 + 0.3j),
     DrudeLorentz(eps_inf=1.5, poles=[(0.8, 1.2, 0.05), (0.4, 2.0, 0.1)]),
     ConstantTensor(np.diag([2.0 + 0.1j, 2.5 + 0.2j, 3.0 + 0.05j])),
-    PiecewiseRegions(ConstantScalar(1.0),
-                     [(Sphere([0, 0, 0], 0.5), ConstantScalar(4.0 + 1.0j))]),
 ]
 
 
@@ -120,20 +102,6 @@ def test_tensor_must_be_symmetric():
     m[0, 1] = 0.3
     with pytest.raises(ValueError):
         ConstantTensor(m)
-
-
-def test_piecewise_region_dispatch():
-    inner = ConstantScalar(4.0 + 1.0j)
-    outer = ConstantScalar(1.0)
-    model = PiecewiseRegions(outer, [(Box([-1, -1, -1], [1, 1, 1]), inner)])
-    assert model.at([0.0, 0.0, 0.0], 1.0) == inner.eval(1.0)
-    assert model.at([5.0, 0.0, 0.0], 1.0) == outer.eval(1.0)
-
-
-def test_eval_permittivity_promotes_scalar_to_tensor():
-    t = eval_permittivity(ConstantScalar(2.0 + 0.5j), [0, 0, 0], 1.0)
-    assert t.shape == (3, 3)
-    assert np.allclose(t, (2.0 + 0.5j) * np.eye(3))
 
 
 # -- thermal state ---------------------------------------------------------

@@ -10,7 +10,6 @@ from greenmodes import (
     BulkClosedForm,
     CavityGeometry,
     ConstantScalar,
-    Constants,
     IdentityReport,
     QuadratureSpec,
     build_pec_box_modes,
@@ -18,8 +17,6 @@ from greenmodes import (
     check_conversion_p1,
     check_magic_formula,
     check_surface_term,
-    im_green_coincidence,
-    vacuum_correlation_spectrum,
 )
 from greenmodes.greens import _bulk_green_batch, _green_factors
 from greenmodes.identities import _gg_dagger_sum, _lorentzian_weights
@@ -295,30 +292,3 @@ def test_identity_reports_carry_quad_error(check, cube_modeset):
     assert np.isfinite(err) and err >= 0.0
     if check != "conversion_analytic":
         assert err > 0.0
-
-
-# -- vacuum correlation spectrum -------------------------------------------
-
-
-def test_vacuum_correlation_zero_t_scale():
-    green = BulkClosedForm(ConstantScalar(1.0))
-    r = np.zeros(3)
-    w = 1.3
-    got = vacuum_correlation_spectrum(green, r, w, temperature=0.0)
-    c = Constants.natural()
-    im = im_green_coincidence(w, 1.0)
-    expect = c.hbar * (w / c.c) ** 2 / (2.0 * c.eps0**2) * im
-    assert np.max(np.abs(got - expect)) < 1e-14 * np.max(np.abs(expect))
-
-
-def test_vacuum_correlation_thermal_factor():
-    green = BulkClosedForm(ConstantScalar(1.0))
-    r = np.zeros(3)
-    w = 1.0
-    cold = vacuum_correlation_spectrum(green, r, w, temperature=0.0)
-    hot = vacuum_correlation_spectrum(green, r, w, temperature=2.0)
-    nbar = 1.0 / (np.exp(w / 2.0) - 1.0)
-    assert np.max(np.abs(hot - (1.0 + 2.0 * nbar) * cold)) \
-        < 1e-12 * np.max(np.abs(hot))
-    # spectrum is PSD (here diagonal positive)
-    assert np.linalg.eigvalsh(hot).min() > 0.0

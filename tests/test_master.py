@@ -23,7 +23,7 @@ from greenmodes import (
     spectral_density_lna,
     spectral_density_nmqed,
 )
-from greenmodes.decay import resonance_edge_hints
+from greenmodes.master import resonance_edge_hints
 
 # PV integral of (w^3 / 6 pi^2) / (w - 1) on [0, 2]
 # frozen reference: scipy.integrate.quad, weight='cauchy'

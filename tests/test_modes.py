@@ -9,9 +9,7 @@ from greenmodes import (
     Constants,
     ModeIndex,
     build_pec_box_modes,
-    coupling_constant,
     coupling_strengths,
-    plane_wave_mode,
 )
 from conftest import make_atom
 
@@ -185,31 +183,6 @@ def test_vectorized_build_matches_reference_loop(lengths, eps_b, n_max):
     gram = np.array([[sub.overlap(i, j) for j in range(len(sub))]
                      for i in range(len(sub))])
     assert np.max(np.abs(gram - np.eye(len(sub)))) < 1e-12
-
-
-def test_plane_wave_mode_polarizations():
-    k = np.array([np.pi, 2 * np.pi, 0.5 * np.pi])
-    vol = 8.0
-    m1 = plane_wave_mode(k, 1, vol)
-    m2 = plane_wave_mode(k, 2, vol)
-    p1 = m1(np.zeros(3))  # phase is 1 at the origin: bare pol / sqrt(V)
-    p2 = m2(np.zeros(3))
-    # unit polarization over sqrt(V), mutually orthogonal, transverse
-    assert abs(np.linalg.norm(p1) - 1.0 / np.sqrt(vol)) < 1e-13
-    assert abs(np.vdot(p1, p2)) < 1e-13
-    assert abs(np.dot(p1, k)) < 1e-12 and abs(np.dot(p2, k)) < 1e-12
-    with pytest.raises(ValueError):
-        plane_wave_mode(np.zeros(3), 1, vol)
-
-
-def test_coupling_constant_magnitude(cube_modeset):
-    atom = make_atom()
-    c = Constants.natural()
-    entry = cube_modeset.entries[12]
-    g = coupling_constant(atom, entry, c)
-    proj = float(np.dot(atom.dipole, entry.field(atom.position)))
-    expect = np.sqrt(c.hbar * entry.omega / (2.0 * c.eps0)) * abs(proj)
-    assert abs(abs(g) - expect) < 1e-14 * max(expect, 1e-30)
 
 
 def test_coupling_strengths_vectorized(cube_modeset):

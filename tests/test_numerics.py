@@ -16,14 +16,13 @@ from greenmodes import (
     Grid1D,
     QuadratureSpec,
     TailTruncationWarning,
-    gauss_panels,
     integrate_adaptive,
     integrate_pv,
     sommerfeld_radial,
     volterra_march,
 )
 from greenmodes import numerics
-from greenmodes.numerics import fourier_table, phase_sum
+from greenmodes.numerics import fourier_table, gauss_legendre, phase_sum
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
 
@@ -155,12 +154,13 @@ def test_sommerfeld_radial_rejects_bad_args():
         sommerfeld_radial(f, 2.0, 1.0)
 
 
-def test_gauss_panels_polynomial_exactness():
-    # degree 2n-1 polynomials are integrated exactly by an n-point rule
-    f = lambda x: 3.0 * x**5 - x**3 + 2.0
-    got = gauss_panels(f, np.array([0.0, 0.7, 2.0]), n=8)
-    exact = 0.5 * 2.0**6 - 0.25 * 2.0**4 + 4.0
-    assert abs(got - exact) < 1e-12 * abs(exact)
+def test_gauss_legendre_rules_are_cached_and_read_only():
+    x, w = gauss_legendre(24)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert gauss_legendre(24)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_fourier_table_frozen_reference():
