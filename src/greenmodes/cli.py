@@ -517,6 +517,8 @@ def _run_ww(scenario, qspec, const, outdir, fmt, stem):
         "t_max": t_max,
         "n_steps": n_steps,
         "population_final": float(result.population[-1]),
+        "march_error": result.march_error,
+        "march_error_reason": result.march_error_reason,
     }
     summ = os.path.join(outdir, "%s_ww_summary.json" % stem)
     _write_json(summ, summary)

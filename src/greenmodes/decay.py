@@ -134,6 +134,8 @@ class DecayResult:
     c_es: np.ndarray
     population: np.ndarray
     markov_fit: Optional[tuple] = None
+    march_error: Optional[float] = None
+    march_error_reason: Optional[str] = None  # why march_error is None
 
     @property
     def times(self):
@@ -144,6 +146,7 @@ def fit_rate_and_shift(times, c_es, lo_frac=0.35, hi_frac=0.95):
     """Least-squares exponential fit on a window of the trajectory.
 
     Returns (rate, shift): population ~ exp(-rate t), phase ~ shift t.
+    A zero population in the window is a numerical failure (RuntimeError).
     """
     times = np.asarray(times)
     n = times.size
@@ -152,7 +155,7 @@ def fit_rate_and_shift(times, c_es, lo_frac=0.35, hi_frac=0.95):
     t = times[lo:hi]
     pop = np.abs(c_es[lo:hi]) ** 2
     if np.any(pop <= 0.0):
-        raise ValueError("population touches zero inside the fit window")
+        raise RuntimeError("population touches zero inside the fit window")
     slope, _ = np.polyfit(t, np.log(pop), 1)
     phase = np.unwrap(np.angle(c_es[lo:hi]))
     dslope, _ = np.polyfit(t, phase, 1)
@@ -162,8 +165,12 @@ def fit_rate_and_shift(times, c_es, lo_frac=0.35, hi_frac=0.95):
 def solve_volterra(kernel, t_max, n_steps, fit_window=None):
     """March the memory equation from c(0) = 1 on a uniform grid.
 
-    fit_window, optional (lo_frac, hi_frac), attaches an exponential fit
-    over that fraction of the trajectory as markov_fit.
+    volterra_march raises RuntimeError at the first divergent step.
+    march_error is max |c_h - c_2h| / 3 over the nodes shared with a
+    march on every other kernel sample (the scheme is second order); if
+    only that 2h march diverges it is None, and march_error_reason says
+    why.  fit_window, optional (lo_frac, hi_frac), attaches an
+    exponential fit over that fraction of the trajectory as markov_fit.
     """
     if n_steps < 10:
         raise ValueError("n_steps must be >= 10")
@@ -177,10 +184,15 @@ def solve_volterra(kernel, t_max, n_steps, fit_window=None):
         raise RuntimeError(
             "volterra march unstable (%s); reduce the step t_max/n_steps"
             % exc) from None
+    try:
+        coarse = volterra_march(ktab[::2], 2.0 * grid.h)
+        err, reason = float(np.max(np.abs(y[::2] - coarse))) / 3.0, None
+    except RuntimeError as exc:
+        err, reason = None, "no step-halving estimate: the 2h %s" % exc
     fit = None
     if fit_window is not None:
         fit = fit_rate_and_shift(grid.points, y, *fit_window)
-    return DecayResult(grid, y, np.abs(y) ** 2, fit)
+    return DecayResult(grid, y, np.abs(y) ** 2, fit, err, reason)
 
 
 def markov_rate_and_shift(kernel, atom=None, spec=None):

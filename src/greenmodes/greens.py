@@ -179,9 +179,7 @@ def cavity_green(r, r0, omega, modeset, eta=0.0):
     """
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
-    geom = modeset.geometry
-    if not (geom.contains(r) and geom.contains(r0)):
-        raise ValueError("points must lie inside the cavity")
+    pairs = _mode_pairs(modeset, r, r0)
     omega = np.asarray(omega, dtype=float)
     w = omega[..., None]
     denom = modeset.omegas**2 - w**2 - 1j * eta * w
@@ -190,11 +188,18 @@ def cavity_green(r, r0, omega, modeset, eta=0.0):
         raise ResonanceError(
             "frequency hits a cavity resonance; use eta > 0 to soften the pole"
         )
-    fr = modeset.eval_all(r)
-    f0 = fr if np.array_equal(r3(r), r3(r0)) else modeset.eval_all(r0)
-    pairs = (fr[:, :, None] * f0[:, None, :]).reshape(len(fr), 9)
     g = modeset.const.c**2 * ((1.0 / denom) @ pairs)
     return g.reshape(omega.shape + (3, 3))
+
+
+def _mode_pairs(modeset, r, r0):
+    """E_k(r) E_k(r0)^T for every mode, flattened to shape (M, 9)."""
+    geom = modeset.geometry
+    if not (geom.contains(r) and geom.contains(r0)):
+        raise ValueError("points must lie inside the cavity")
+    fr = modeset.eval_all(r)
+    f0 = fr if np.array_equal(r3(r), r3(r0)) else modeset.eval_all(r0)
+    return (fr[:, :, None] * f0[:, None, :]).reshape(len(fr), 9)
 
 
 class GreenEvaluator:
@@ -273,8 +278,14 @@ class CavityModeSum(GreenEvaluator):
         return cavity_green(r, r0, omega, self.modeset, self.eta)
 
     def im_coincidence(self, r, omega):
+        """c^2 L @ (E E^T), L = eta w / ((w_k^2 - w^2)^2 + eta^2 w^2)."""
         if self.eta == 0.0:
             raise ValueError(
                 "mode-sum Im G at coincidence needs eta > 0 (discrete poles)"
             )
-        return self.evaluate(r, r, omega).imag
+        pairs = _mode_pairs(self.modeset, r, r)
+        w = np.asarray(omega, dtype=float)[..., None]
+        x = self.eta * w
+        lor = x / ((self.modeset.omegas**2 - w**2) ** 2 + x * x)
+        img = self.modeset.const.c**2 * (lor @ pairs)
+        return img.reshape(w.shape[:-1] + (3, 3))

@@ -96,7 +96,7 @@ def _lorentzian_weights(omegas, eta, omega_max, spec):
 
     def f(t):
         w = lo + t[:, None] * width
-        return width * w**3 * eta / ((wk2 - w**2) ** 2 + eta**2 * w**2)
+        return width * w**3 * eta / ((wk2 - w**2) ** 2 + eta * eta * w**2)
 
     pieces, err = integrate_adaptive(f, 0.0, 1.0, spec)
     per_omega = np.bincount(owner, weights=pieces, minlength=len(omegas))

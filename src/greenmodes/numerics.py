@@ -1,6 +1,6 @@
 """Shared numerical kernels: adaptive quadrature, principal values, cached
 Gauss-Legendre rules, the delay-frequency phase sum, and the Volterra
-history march.
+history march as a divide-and-conquer Toeplitz solve.
 
 All routines are deterministic: fixed node sets, fixed subdivision order,
 no randomness and no environment-dependent branching, so repeated runs
@@ -405,38 +405,72 @@ def _phases(t, nu, exact):
     return out
 
 
+# rows per dense leaf of the Toeplitz solve in volterra_march
+_LEAF = 128
+
+
 def volterra_march(kernel, h, y0=1.0 + 0.0j, blowup=10.0):
     """March y'(t) = int_0^t K(t - s) y(s) ds on a uniform grid.
 
-    kernel holds K(i h) for i = 0..N; returns y at the same nodes.
-    Product-trapezoid predictor-corrector, second order in h.  Raises
-    RuntimeError if |y| exceeds blowup, which almost always means the
-    step is too large for the kernel bandwidth.
+    kernel holds K(i h) for i = 0..N; returns y at the same nodes.  The
+    product-trapezoid predictor-corrector (second order in h) is linear
+    and shift-invariant: y_m = sum_{0<j<m} a_{m-j} y_j + y0 a_m / 2 for
+    m >= 2, y_1 from the explicit first step, a_1 = 1 + O(h^2) and
+    a_p = (h/2 + h^3 K_0/4) h K_{p-1} + (h^2/2) K_p: a unit lower-
+    triangular Toeplitz system, solved by divide and conquer (Hairer,
+    Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532 (1985)).  The
+    first half's FFT convolution with a_{p>=2} joins the second half's
+    right-hand side; leaves of _LEAF rows share one inverse and carry
+    y_{lo-1} in increments, so a_1 stays out of the FFT and rounding
+    does not build up step by step.  Raises RuntimeError at the first
+    step whose |y| exceeds blowup or is not finite.
     """
     k = np.ascontiguousarray(kernel, dtype=complex)
     if k.ndim != 1 or k.size < 2:
         raise ValueError("kernel must be a 1-d array with >= 2 samples")
     h = float(h)
     n = k.size - 1
-    y = np.empty(n + 1, dtype=complex)
-    y[0] = complex(y0)
-    krev = k[::-1].copy()
+    bad = np.flatnonzero(~np.isfinite(k))
+    if bad.size:
+        raise RuntimeError("volterra march diverged at step %d (kernel "
+                           "sample %d is not finite)" % (max(bad[0], 1), bad[0]))
+    beta = 0.5 * h + 0.25 * h**3 * k[0]
+    a = np.zeros(n + 1, dtype=complex)
+    a[1:] = beta * h * k[:n] + 0.5 * h * h * k[1:]
+    a[1] += 0.25 * h * h * k[0] - 0.5 * beta * h * k[0]  # a_1 - 1
+    d1 = a[1]
+    y = np.full(n + 1, y0, dtype=complex)
+    rhs = 0.5 * y[0] * a
+    rhs[1] = y[0] * (0.25 * h * h * (k[0] + k[1]) - d1)  # y_1 = a_1 y_0 + rhs_1
+    # c = b - 1 for the leaf inverse's first column b, in increments
+    m = min(_LEAF, n)
+    c = np.zeros(m, dtype=complex)
+    for q in range(1, m):
+        c[q] = c[q - 1] + np.dot(a[1:q + 1], 1.0 + c[q - 1::-1])
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    inv = np.where(lag >= 0, 1.0 + c[np.maximum(lag, 0)], 0.0)
+    a[1] = 0.0
 
-    # memory integral at the current node, maintained incrementally
-    hist = 0.0 + 0.0j  # H_0 = 0, empty integral
-    half_k0 = 0.5 * k[0]
-    for i in range(n):
-        ypred = y[i] + h * hist
-        # trapezoid sum for t_{i+1}: endpoints get half weight
-        s = 0.5 * k[i + 1] * y[0]
-        if i >= 1:
-            s += np.dot(krev[n - i:n], y[1:i + 1])
-        hstar = h * (s + half_k0 * ypred)
-        y[i + 1] = y[i] + 0.5 * h * (hist + hstar)
-        if abs(y[i + 1]) > blowup:
-            raise RuntimeError(
-                "volterra march diverged at step %d (|y| = %.3g); "
-                "reduce the time step" % (i + 1, abs(y[i + 1]))
-            )
-        hist = hstar + h * half_k0 * (y[i + 1] - ypred)
+    @np.errstate(over="ignore", invalid="ignore")
+    def solve(lo, hi):
+        size = hi - lo
+        if size <= _LEAF:
+            carry = y[lo - 1]
+            rhs[lo] += d1 * carry
+            y[lo:hi] = carry + (c[:size] * carry + inv[:size, :size] @ rhs[lo:hi])
+            bad = ~(np.abs(y[lo:hi]) <= blowup)
+            if bad.any():
+                i = lo + int(np.argmax(bad))
+                raise RuntimeError(
+                    "volterra march diverged at step %d (|y| = %.3g); "
+                    "reduce the time step" % (i, abs(y[i])))
+            return
+        mid = lo + _LEAF * -(-size // (2 * _LEAF))
+        solve(lo, mid)
+        nf = 1 << (size - 1).bit_length()
+        rhs[mid:hi] += np.fft.ifft(np.fft.fft(y[lo:mid], nf)
+                                   * np.fft.fft(a[:size], nf))[mid - lo:size]
+        solve(mid, hi)
+
+    solve(1, n + 1)
     return y

@@ -73,14 +73,39 @@ def test_modes_listing_matches_entry_views(tmp_path):
     assert (out / "cube_modes.csv").read_bytes() == want.encode()
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    code = ("import sys, greenmodes.cli; "
-            "sys.exit('scipy.special' in sys.modules)")
+def _src_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return env
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    code = ("import sys, greenmodes.cli; "
+            "sys.exit('scipy.special' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=_src_env()).returncode == 0
+
+
+def test_ww_run_loads_no_scipy_linalg_fft_or_special(tmp_path):
+    # a module-level scipy import would cost every run its import time
+    # and resident memory; a bulk closed-form ww run needs none of them
+    payload = ww_scenario(name="ww-footprint")
+    payload["backend"] = {"type": "closed_form"}
+    payload["time"]["n_steps"] = 300
+    cfg = write_scenario(tmp_path / "ww.json", payload)
+    code = ("import json, sys; from greenmodes import cli; "
+            "rc = cli.main(['ww', '--config', sys.argv[1], '--out', "
+            "sys.argv[2], '--quiet']); "
+            "print(json.dumps([m for m in ('scipy.linalg', 'scipy.fft', "
+            "'scipy.special') if m in sys.modules])); sys.exit(rc)")
+    done = subprocess.run([sys.executable, "-c", code, cfg,
+                           str(tmp_path / "out")], env=_src_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+    assert (tmp_path / "out" / "ww-footprint_ww_summary.json").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -302,3 +327,45 @@ def test_out_naming_a_file_exits_io(tmp_path, capsys):
     code = run(["modes", "--config", cfg, "--out", occupied, "--quiet"])
     _assert_error(code, cli.EXIT_IO, "io", capsys)
     assert occupied.read_text() == "not a directory"
+
+
+def test_huge_conversion_eta_does_not_escape(tmp_path, capsys):
+    # eta^2 overflows a float: the softened integral is 0 to double
+    # precision, not a traceback
+    payload = cube_scenario(name="p1-eta")
+    payload["conversion"] = {"r": [0.31, 0.52, 0.47],
+                             "r0": [0.31, 0.52, 0.47]}
+    cfg = write_scenario(tmp_path / "p1.json", payload)
+    out = tmp_path / "out"
+    code = run(["check-p1", "--config", cfg, "--out", out, "--quiet",
+                "--set", "conversion.eta=1e300"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "p1-eta_report.json").read_text())["reports"][0]
+    assert report["rel_residual"] == 1.0
+
+
+def test_ww_summary_carries_march_error(tmp_path):
+    cfg = write_scenario(tmp_path / "ww.json", ww_scenario())
+    out = tmp_path / "out"
+    assert run(["ww", "--config", cfg, "--out", out, "--quiet"]) == 0
+    summary = json.loads((out / "ww-vac_ww_summary.json").read_text())
+    assert 0.0 < summary["march_error"] < 1e-3
+    assert summary["march_error_reason"] is None
+
+
+def test_ww_divergent_estimate_is_null_with_reason(tmp_path):
+    # at 12 steps the h march of this strong dipole stays bounded and the
+    # 2h march of the step-halving estimate does not: the run succeeds
+    payload = ww_scenario(name="ww-coarse-estimate")
+    payload["atom"]["dipole"] = [0.0, 0.0, 2.0]
+    payload["time"]["n_steps"] = 12
+    cfg = write_scenario(tmp_path / "ww.json", payload)
+    out = tmp_path / "out"
+    assert run(["ww", "--config", cfg, "--out", out, "--quiet"]) == 0
+    summary = json.loads(
+        (out / "ww-coarse-estimate_ww_summary.json").read_text())
+    assert summary["march_error"] is None
+    reason = summary["march_error_reason"]
+    assert "2h volterra march diverged at step" in reason
+    assert "\n" not in reason

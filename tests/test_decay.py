@@ -246,5 +246,41 @@ def test_fit_rejects_zero_population():
     times = np.linspace(0.0, 1.0, 101)
     c = np.exp(-times)
     c[70] = 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         fit_rate_and_shift(times, c)
+
+
+def test_fit_zero_population_maps_to_numeric_exit():
+    # the trajectory underflows inside the window: a computed result is
+    # at fault, not the scenario, so the CLI exits 3, not 2
+    from greenmodes import cli
+
+    times = np.linspace(0.0, 10.0, 101)
+    c = np.exp(-90.0 * times).astype(complex)
+    with pytest.raises(RuntimeError, match="touches zero") as info:
+        fit_rate_and_shift(times, c)
+    code = next(code for kind, code in cli._EXIT_CODES.items()
+                if isinstance(info.value, kind))
+    assert code == cli.EXIT_NUMERIC
+
+
+def test_solve_volterra_reports_march_error():
+    g, det = 0.35, 0.4
+    kern = MemoryKernel(omega0=1.0, omegas=np.array([1.4]),
+                        weights=np.array([g * g]))
+    res = solve_volterra(kern, 20.0, 4000)
+    true = np.max(np.abs(res.c_es - _rabi_exact(res.times, g, det)))
+    assert 0.5 * true <= res.march_error <= 2.0 * true
+    assert res.march_error_reason is None
+
+
+def test_solve_volterra_survives_a_divergent_coarse_march():
+    # flat kernel -g^2 at g h = 1.5: the h march stays bounded, the 2h
+    # march of the step-halving estimate does not
+    kern = MemoryKernel(omega0=1.0, omegas=np.array([1.0]),
+                        weights=np.array([1.0]))
+    res = solve_volterra(kern, 30.0, 20)
+    assert np.all(np.abs(res.c_es) <= 1.0 + 1e-12)
+    assert res.march_error is None
+    assert "diverged" in res.march_error_reason
+    assert "\n" not in res.march_error_reason

@@ -14,10 +14,12 @@ from scipy import special
 from greenmodes import (
     ConvergenceError,
     Grid1D,
+    MemoryKernel,
     QuadratureSpec,
     TailTruncationWarning,
     integrate_adaptive,
     integrate_pv,
+    solve_volterra,
     sommerfeld_radial,
     volterra_march,
 )
@@ -340,3 +342,106 @@ def test_volterra_input_validation():
         volterra_march(np.zeros((3, 3), dtype=complex), 0.1)
     with pytest.raises(ValueError):
         volterra_march(np.zeros(1, dtype=complex), 0.1)
+
+
+def _recurrence_long_double(kernel, h, y0=1.0):
+    """Forward substitution of the march's Toeplitz recurrence in long
+    double: y_1 from the explicit step, then for m >= 2
+    y_m = sum_{j=1}^{m-1} a_{m-j} y_j + (y0/2)(beta h K_{m-1} + gamma K_m)
+    with alpha = 1 + h^2 K_0/4, beta = h/2 + h^3 K_0/4, gamma = h^2/2,
+    a_1 = alpha + beta h K_0/2 + gamma K_1, a_p = beta h K_{p-1} + gamma K_p."""
+    k = np.asarray(kernel).astype(np.clongdouble)
+    h = np.longdouble(h)
+    n = k.size - 1
+    alpha = 1 + h * h * k[0] / 4
+    beta = h / 2 + h**3 * k[0] / 4
+    gamma = h * h / 2
+    a = beta * h * k[:-1] + gamma * k[1:]  # a[p - 1] = a_p
+    a[0] = alpha + beta * h * k[0] / 2 + gamma * k[1]
+    y = np.zeros(n + 1, dtype=np.clongdouble)
+    y[0] = y0
+    y[1] = y0 * (1 + h * h * (k[0] + k[1]) / 4)
+    for m in range(2, n + 1):
+        y[m] = (np.dot(a[m - 2::-1], y[1:m])
+                + y0 / 2 * (beta * h * k[m - 1] + gamma * k[m]))
+    return y
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.sampled_from([2, 3, 127, 128, 129, 257, 1000]),
+    kind=st.sampled_from(["decaying", "oscillating", "flat"]),
+    g=st.floats(0.1, 2.0),
+    rate=st.floats(0.0, 3.0),
+    h=st.floats(1e-3, 0.05),
+)
+def test_volterra_toeplitz_solve_matches_long_double_recurrence(n, kind, g,
+                                                                rate, h):
+    # grids of 2, 3 and 1000 nodes cross the 128-row leaves and the
+    # divide-and-conquer splits on either side
+    t = h * np.arange(n + 1)
+    shape = {"decaying": np.exp(-rate * t),
+             "oscillating": np.exp(-1j * rate * t),
+             "flat": np.ones_like(t)}[kind]
+    kern = -(g**2) * shape.astype(complex)
+    y = volterra_march(kern, h)
+    ref = _recurrence_long_double(kern, h)
+    err = np.abs((y - ref).astype(np.clongdouble)).astype(float)
+    assert np.max(err) <= 1e-13 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_volterra_non_finite_kernel_names_its_step(bad):
+    kern = np.full(1001, -1.0, dtype=complex)
+    kern[300] = bad
+    with pytest.raises(RuntimeError, match="step 300"):
+        volterra_march(kern, 0.01)
+
+
+def test_volterra_blowup_names_first_divergent_step():
+    # cosh(0.2 t) passes 10 near step 300, past the first leaves
+    kern = np.full(801, +0.04, dtype=complex)
+    ref = np.abs(_recurrence_long_double(kern, 0.05)).astype(float)
+    first = int(np.argmax(ref > 10.0))
+    with pytest.raises(RuntimeError, match="step %d " % first):
+        volterra_march(kern, 0.05, blowup=10.0)
+
+
+def test_march_error_tracks_true_error_on_flat_kernel():
+    # one line of weight g^2 at omega0 is the flat kernel K = -g^2
+    g = 1.0
+    kern = MemoryKernel(omega0=1.0, omegas=np.array([1.0]),
+                        weights=np.array([g**2]))
+    assert np.all(kern.table(np.linspace(0.0, 10.0, 7)) == -(g**2))
+    res = solve_volterra(kern, 10.0, 4000)
+    true = np.max(np.abs(res.c_es - flat_kernel_solution(g, res.times)))
+    assert 0.5 * true <= res.march_error <= 2.0 * true
+
+
+def _predictor_corrector_loop(kernel, h, y0=1.0 + 0.0j):
+    """The product-trapezoid predictor-corrector stepped one node at a
+    time, with the memory integral kept incrementally."""
+    k = np.asarray(kernel, dtype=complex)
+    n = k.size - 1
+    y = np.empty(n + 1, dtype=complex)
+    y[0] = y0
+    hist = 0.0 + 0.0j
+    for i in range(n):
+        ypred = y[i] + h * hist
+        s = 0.5 * k[i + 1] * y[0] + np.dot(k[i:0:-1], y[1:i + 1])
+        hstar = h * (s + 0.5 * k[0] * ypred)
+        y[i + 1] = y[i] + 0.5 * h * (hist + hstar)
+        hist = hstar + 0.5 * h * k[0] * (y[i + 1] - ypred)
+    return y
+
+
+@pytest.mark.parametrize("n", [2, 129, 700])
+def test_volterra_toeplitz_solve_is_the_predictor_corrector(n):
+    # the Toeplitz recurrence is the stepped scheme with the memory
+    # integral eliminated; both round differently, by ~1e-15 of max|y|
+    h = 0.02
+    t = h * np.arange(n + 1)
+    kern = -1.7 * np.exp(-(0.4 + 2.3j) * t)
+    y = volterra_march(kern, h)
+    loop = _predictor_corrector_loop(kern, h)
+    assert np.max(np.abs(y - loop)) <= 1e-13 * np.max(np.abs(loop))
