@@ -70,7 +70,6 @@ from .numerics import (
 )
 from .permittivity import (
     ConstantScalar,
-    ConstantTensor,
     DrudeLorentz,
     PermittivityModel,
 )

@@ -255,20 +255,20 @@ def _build_atom(scenario, const):
     )
 
 
-def _build_green_backend(scenario, qspec, const, where="backend"):
+def _build_green_backend(scenario, qspec, const):
     kind, payload = _build_geometry(scenario)
-    block = _require_dict(scenario.get(where, {}), where)
-    _check_keys(block, where, allowed={"type", "k_max_multiplier"})
+    block = _require_dict(scenario.get("backend", {}), "backend")
+    _check_keys(block, "backend", allowed={"type", "k_max_multiplier"})
     if kind == "bulk":
-        backend = _str(block, "type", where, default="closed_form",
+        backend = _str(block, "type", "backend", default="closed_form",
                        choices={"closed_form", "sommerfeld"})
         eps_model = payload
         if backend == "closed_form":
             return BulkClosedForm(eps_model, const=const)
-        mult = _float(block, "k_max_multiplier", where, default=30.0)
+        mult = _float(block, "k_max_multiplier", "backend", default=30.0)
         return BulkSommerfeld(eps_model, spec=qspec, k_max_multiplier=mult,
                               const=const)
-    backend = _str(block, "type", where, default="mode_sum",
+    backend = _str(block, "type", "backend", default="mode_sum",
                    choices={"mode_sum"})
     geom, n_max, eta = payload
     modeset = build_pec_box_modes(geom, n_max, const=const)
@@ -417,10 +417,9 @@ def _run_check_magic(scenario, qspec, const, outdir, fmt, stem):
     excl = _float(block, "exclusion_radius", "magic", None, minimum=0.0)
     reports = []
     for delta in deltas:
-        eps_model = ConstantScalar(complex(eps_real, delta))
-        green = BulkClosedForm(eps_model, const=const)
-        rep = check_magic_formula(green, eps_model, r, r0, omega,
-                                  spec=qspec, exclusion_radius=excl)
+        rep = check_magic_formula(ConstantScalar(complex(eps_real, delta)),
+                                  r, r0, omega, spec=qspec,
+                                  exclusion_radius=excl, const=const)
         payload = _report_payload(rep)
         payload["delta"] = delta
         reports.append(payload)
@@ -440,10 +439,10 @@ def _run_check_surface(scenario, qspec, const, outdir, fmt, stem):
     r0 = np.array(_vec3(block, "r0", "surface"))
     omega = _float(block, "omega", "surface", minimum=0.0)
     radii = _num_list(block, "radii", "surface")
-    green = BulkClosedForm(eps_model, const=const)
     reports = []
     for radius in radii:
-        rep = check_surface_term(green, radius, r, r0, omega, spec=qspec)
+        rep = check_surface_term(eps_model, radius, r, r0, omega, spec=qspec,
+                                 const=const)
         payload = _report_payload(rep)
         payload["radius"] = radius
         reports.append(payload)

@@ -1,14 +1,18 @@
-"""Dyadic Green tensor of the vector Helmholtz equation, three ways:
-closed-form homogeneous bulk, a (2+1)-dimensional radial spectral integral
-over lateral wavenumber, and a truncated cavity mode sum.
+"""Dyadic Green tensor of the vector Helmholtz equation in a scalar
+medium, three ways: closed-form homogeneous bulk, a (2+1)-dimensional
+radial spectral integral over lateral wavenumber, and a truncated cavity
+mode sum.
 
 Conventions: G propagates a point dipole source, so for vacuum the
 far field is e^{ik rho}(I - ee)/(4 pi rho) and the coincidence limit of
 Im G in a lossless medium is (sqrt(eps) w / 6 pi c) I.  Wavenumbers take
 the Im k >= 0 branch (outgoing, decaying), which also makes every backend
 satisfy the reflection G(-w) = G*(w) on the real axis.  The contact
-delta-function term is never evaluated numerically; each bulk backend
-reports its coefficient symbolically via delta_term().
+delta-function term is excluded everywhere; the volume identity writes
+its cross term in closed form (identities._volume_terms).
+
+The backends are plain classes: all three have evaluate(r, r0, omega)
+and const; the closed form and the mode sum also have im_coincidence.
 """
 
 import numpy as np
@@ -84,19 +88,6 @@ def im_green_coincidence(omega, eps, const=None):
     return scale[..., None, None] * I3
 
 
-def default_k_max(k, lateral, dz, multiplier=30.0):
-    """Radial cutoff heuristic: oscillation scale plus evanescent depth.
-
-    Uses the smallest positive separation scale; capped at 500 |k| to keep
-    pathological geometries from exploding the integration range.
-    """
-    scales = [s for s in (abs(dz), abs(lateral)) if s > 0.0]
-    if not scales:
-        raise ValueError("coincidence: no separation scale for k_max")
-    km = multiplier * abs(k) + 40.0 / min(scales)
-    return min(km, 500.0 * abs(k))
-
-
 def _bessel_dyad(kpar, kperp, k, lateral, sign_z):
     """Azimuth-integrated plane-wave dyad of the planar decomposition,
     shape kpar.shape + (3, 3), in the frame whose x axis lies along the
@@ -132,13 +123,17 @@ def _sommerfeld_integrand(kpar, k, lateral, dz_abs, sign_z):
     return pref[:, None, None] * _bessel_dyad(kpar, kperp, k, lateral, sign_z)
 
 
-def bulk_green_sommerfeld(r, r0, omega, eps, spec=None, k_max=None, const=None):
+def bulk_green_sommerfeld(r, r0, omega, eps, spec=None, k_max_multiplier=30.0,
+                          const=None):
     """Bulk Green tensor from the radial lateral-wavenumber integral.
 
     The 2-d spectral integral is reduced to Bessel kernels J0, J1, J2 in a
     frame whose x axis lies along the lateral separation, then rotated
     back.  Decay along k_par comes from e^{i k_perp |dz|}, so accuracy
     degrades when z = z0 (no exponential cutoff; the tail warning fires).
+    The radial cutoff is k_max_multiplier |k| (oscillation scale) plus
+    40 over the smallest positive separation (evanescent depth), capped
+    at 500 |k| so pathological geometries cannot explode the range.
     Delta term excluded, as in the closed form.
     """
     spec = spec or QuadratureSpec()
@@ -149,8 +144,8 @@ def bulk_green_sommerfeld(r, r0, omega, eps, spec=None, k_max=None, const=None):
     if lateral == 0.0 and dz == 0.0:
         raise ValueError("coincidence limit: use im_green_coincidence")
     k = wavenumber(omega, eps, const)
-    if k_max is None:
-        k_max = default_k_max(k, lateral, dz)
+    scale = min(s for s in (abs(dz), lateral) if s > 0.0)
+    k_max = min(k_max_multiplier * abs(k) + 40.0 / scale, 500.0 * abs(k))
     sign_z = float(np.sign(dz))
 
     def f(kpar):
@@ -202,26 +197,8 @@ def _mode_pairs(modeset, r, r0):
     return (fr[:, :, None] * f0[:, None, :]).reshape(len(fr), 9)
 
 
-class GreenEvaluator:
-    """Common interface: evaluate(r, r0, omega) -> 3x3 complex."""
-
-    def evaluate(self, r, r0, omega):
-        raise NotImplementedError
-
-    def im_coincidence(self, r, omega):
-        """Im G(r, r, omega); defined only where the limit is finite.
-
-        A scalar omega gives (3, 3); a 1-d array of n frequencies gives
-        (n, 3, 3) from one batched evaluation, equal to the stacked
-        scalar calls.
-        """
-        raise NotImplementedError
-
-
-class BulkClosedForm(GreenEvaluator):
+class BulkClosedForm:
     def __init__(self, eps_model, const=None):
-        if eps_model.is_tensor:
-            raise ValueError("bulk closed form needs a scalar permittivity")
         self.eps_model = eps_model
         self.const = const or Constants.natural()
 
@@ -229,50 +206,35 @@ class BulkClosedForm(GreenEvaluator):
         return bulk_green(r, r0, omega, self.eps_model.eval(omega), self.const)
 
     def im_coincidence(self, r, omega):
+        """Im G(r, r, omega), finite in a lossless medium only.
+
+        A scalar omega gives (3, 3); a 1-d array of n frequencies gives
+        (n, 3, 3) from one batched evaluation, equal to the stacked
+        scalar calls.
+        """
         return im_green_coincidence(omega, self.eps_model.eval(omega), self.const)
 
-    def delta_term(self, omega):
-        """Symbolic contact-term coefficient: G ⊃ delta_term * delta^3(r-r0)."""
-        k = wavenumber(omega, self.eps_model.eval(omega), self.const)
-        return -I3 / (3.0 * k**2)
 
-
-class BulkSommerfeld(GreenEvaluator):
+class BulkSommerfeld:
     def __init__(self, eps_model, spec=None, k_max_multiplier=30.0, const=None):
-        if eps_model.is_tensor:
-            raise ValueError("Sommerfeld backend needs a scalar permittivity")
         self.eps_model = eps_model
         self.spec = spec or QuadratureSpec()
         self.k_max_multiplier = float(k_max_multiplier)
         self.const = const or Constants.natural()
 
     def evaluate(self, r, r0, omega):
-        eps = self.eps_model.eval(omega)
-        k = wavenumber(omega, eps, self.const)
-        disp = r3(r) - r3(r0)
-        lateral = float(np.hypot(disp[0], disp[1]))
-        k_max = default_k_max(k, lateral, disp[2], self.k_max_multiplier)
         return bulk_green_sommerfeld(
-            r, r0, omega, eps, self.spec, k_max=k_max, const=self.const)
-
-    def delta_term(self, omega):
-        """Planar-decomposition contact term: -(z z)/k^2 times delta^3."""
-        k = wavenumber(omega, self.eps_model.eval(omega), self.const)
-        zz = np.zeros((3, 3), dtype=complex)
-        zz[2, 2] = 1.0
-        return -zz / k**2
+            r, r0, omega, self.eps_model.eval(omega), self.spec,
+            self.k_max_multiplier, self.const)
 
 
-class CavityModeSum(GreenEvaluator):
+class CavityModeSum:
     def __init__(self, modeset, eta=0.0):
         if eta < 0.0:
             raise ValueError("eta must be >= 0")
         self.modeset = modeset
+        self.const = modeset.const
         self.eta = float(eta)
-
-    @property
-    def omega_top(self):
-        return self.modeset.omega_top
 
     def evaluate(self, r, r0, omega):
         return cavity_green(r, r0, omega, self.modeset, self.eta)
@@ -287,5 +249,5 @@ class CavityModeSum(GreenEvaluator):
         w = np.asarray(omega, dtype=float)[..., None]
         x = self.eta * w
         lor = x / ((self.modeset.omegas**2 - w**2) ** 2 + x * x)
-        img = self.modeset.const.c**2 * (lor @ pairs)
+        img = self.const.c**2 * (lor @ pairs)
         return img.reshape(w.shape[:-1] + (3, 3))

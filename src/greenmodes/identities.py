@@ -39,7 +39,6 @@ from .greens import (
     wavenumber,
 )
 from .numerics import QuadratureSpec, gauss_legendre, integrate_adaptive
-from .permittivity import ConstantTensor
 from .tensors import I3, dagger, is_psd, max_abs, r3
 
 
@@ -163,10 +162,19 @@ def check_conversion_p1(modeset, r, r0, spec=None, eta=None, omega_max=None,
 # volume identity machinery
 
 
-def _ball_rule(radius, n_r=32, n_t=16, n_p=8):
+# fixed rule orders: ball (radius, cos(theta), phi), far region (mu, chi,
+# phi), and the first sphere rule's polar nodes with its most doublings
+_BALL_ORDERS = (32, 16, 8)
+_FAR_ORDERS = (24, 24, 8)
+_SURFACE_N_THETA = 16
+_SURFACE_DOUBLINGS = 3
+
+
+def _ball_rule(radius):
     """Product rule for a ball at the origin: Gauss radial x Gauss cos(theta)
     x trapezoid phi.  Angular symmetry integrates direction dyads exactly,
     which is what tames the 1/rho^3 core of the integrand."""
+    n_r, n_t, n_p = _BALL_ORDERS
     xr, wr = gauss_legendre(n_r)
     rho = 0.5 * radius * (xr + 1.0)
     w_rho = 0.5 * radius * wr * rho**2
@@ -215,10 +223,10 @@ def _u_panel_edges(d, a, im_k, u_cap=None):
     return np.array(edges)
 
 
-def _far_region_nodes(d_vec, a, im_k, u_cap=None, n_mu=24, n_chi=24, n_phi=8):
+def _far_region_nodes(d_vec, a, im_k, u_cap=None):
     """Quadrature nodes/weights for the region outside both balls, and
     the distances rho1 = |s|, rho2 = |s - d_vec| of each ring of n_phi
-    consecutive nodes.
+    consecutive nodes (orders _FAR_ORDERS).
 
     Prolate spheroidal parametrization with foci at 0 and d_vec:
     rho1 = (d/2)(cosh mu + sin chi), rho2 = (d/2)(cosh mu - sin chi);
@@ -227,6 +235,7 @@ def _far_region_nodes(d_vec, a, im_k, u_cap=None, n_mu=24, n_chi=24, n_phi=8):
     azimuth phi about d_vec varies fastest, and neither distance
     depends on it.
     """
+    n_mu, n_chi, n_phi = _FAR_ORDERS
     d = float(np.linalg.norm(d_vec))
     dhat = np.asarray(d_vec) / d
     e1, e2 = _orthonormal_frame(dhat)
@@ -365,37 +374,15 @@ def _volume_terms(r, r0, omega, eps, const, u_cap=None):
     return near0 + near_d + far, cross, g_d, a, far_wts.size
 
 
-def _scalar_absorption(eps_model, omega):
-    """Validate the permittivity for the volume identity and return
-    (eps scalar, Im eps).  Tensor models are accepted only when they are
-    scalar matrices; anisotropy has no closed-form bulk Green function
-    here."""
-    if isinstance(eps_model, ConstantTensor):
-        value = eps_model.value
-        off = value - value[0, 0] * I3
-        if max_abs(off) > 1e-12 * max(1.0, max_abs(value)):
-            raise ValueError(
-                "tensor permittivity must be a scalar matrix for the bulk "
-                "volume identity (no anisotropic bulk Green backend)"
-            )
-        eps = complex(value[0, 0])
-    else:
-        eps = complex(eps_model.eval(omega))
-    if eps.imag <= 0.0:
-        raise ValueError(
-            "the volume identity needs absorption: some level of loss "
-            "must be present (Im eps > 0)"
-        )
-    return eps, eps.imag
-
-
-def check_magic_formula(green, eps_model, r, r0, omega, spec=None,
-                        exclusion_radius=None, u_cap=None):
+def check_magic_formula(eps_model, r, r0, omega, spec=None,
+                        exclusion_radius=None, const=None):
     """Absorption-weighted volume integral of G G^dagger against Im G.
 
-    Generic separation: two exclusion balls + prolate-spheroidal far
-    region + the closed-form cross terms between the regular part and the
-    symbolic contact delta.  Coincidence (r == r0): the angular integral
+    The bulk medium is the scalar eps_model, which must absorb at omega
+    (Im eps > 0); G is its closed form, so no backend is taken.  Generic
+    separation: two exclusion balls + prolate-spheroidal far region + the
+    closed-form cross terms between the regular part and the symbolic
+    contact delta.  Coincidence (r == r0): the angular integral
     collapses analytically, an exclusion ball of radius exclusion_radius
     (default 0.5 / Re k) removes the divergent core, and the reference
     value is the lossless coincidence limit, which the excluded lhs
@@ -405,8 +392,14 @@ def check_magic_formula(green, eps_model, r, r0, omega, spec=None,
     uses fixed product rules and has no such estimate.
     """
     spec = spec or QuadratureSpec()
-    const = getattr(green, "const", None) or Constants.natural()
-    eps, im_eps = _scalar_absorption(eps_model, omega)
+    const = const or Constants.natural()
+    eps = complex(eps_model.eval(omega))
+    im_eps = eps.imag
+    if im_eps <= 0.0:
+        raise ValueError(
+            "the volume identity needs absorption: some level of loss "
+            "must be present (Im eps > 0)"
+        )
     k = wavenumber(omega, eps, const)
     r = r3(r)
     r0 = r3(r0)
@@ -437,8 +430,7 @@ def check_magic_formula(green, eps_model, r, r0, omega, spec=None,
         }
         return make_report(lhs, rhs, meta)
 
-    volume, cross, g_d, a, n_far = _volume_terms(r, r0, omega, eps, const,
-                                                 u_cap=u_cap)
+    volume, cross, g_d, a, n_far = _volume_terms(r, r0, omega, eps, const)
     lhs = pref * (volume + cross)
     rhs = g_d.imag
     meta = {
@@ -486,21 +478,20 @@ def _surface_flux(center, radius, r, r0, omega, eps, const, n_theta):
     return pref * np.einsum("n,nil->il", wts, inner)
 
 
-def check_surface_term(green, sphere_radius, r, r0, omega, spec=None,
-                       n_theta=16, max_doublings=3):
+def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None,
+                       const=None):
     """Closure of the volume identity on a finite ball plus its boundary.
 
+    The bulk medium is the scalar eps_model and G its closed form.
     lhs = volume term over the ball (zero for a lossless medium) plus the
     transverse surface flux of G^T (I - nn) G* over the bounding sphere;
-    rhs = Im G(r, r0).  The sphere rule is doubled until the surface term
-    is self-consistent to 1 percent.  The surface term alone is reported
-    in extras.
+    rhs = Im G(r, r0).  The sphere rule starts at _SURFACE_N_THETA polar
+    nodes and is doubled, at most _SURFACE_DOUBLINGS times, until the
+    surface term is self-consistent to 1 percent.  The surface term
+    alone is reported in extras.
     """
     spec = spec or QuadratureSpec()
-    const = getattr(green, "const", None) or Constants.natural()
-    eps_model = getattr(green, "eps_model", None)
-    if eps_model is None:
-        raise ValueError("surface check needs a bulk backend")
+    const = const or Constants.natural()
     eps = complex(eps_model.eval(omega))
     k = wavenumber(omega, eps, const)
     r = r3(r)
@@ -515,9 +506,9 @@ def check_surface_term(green, sphere_radius, r, r0, omega, spec=None,
             "of the bounding surface"
         )
 
-    surf = _surface_flux(center, radius, r, r0, omega, eps, const, n_theta)
-    n_used = n_theta
-    for _ in range(max_doublings):
+    n_used = _SURFACE_N_THETA
+    surf = _surface_flux(center, radius, r, r0, omega, eps, const, n_used)
+    for _ in range(_SURFACE_DOUBLINGS):
         finer = _surface_flux(center, radius, r, r0, omega, eps, const,
                               2 * n_used)
         change = max_abs(finer - surf) / max(max_abs(finer), 1e-300)

@@ -134,18 +134,18 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
     """J(omega) = (omega^2/c^2) gamma . Im G(r0, r0, omega) . gamma / (pi hbar eps0).
 
     Continuous by default, sampled through the backend's coincidence
-    Im G, one batched call per node array; a softened mode-sum backend
-    gets panel edges at its lines so tabulations do not step over them,
-    and a lossy medium at the atom position raises through the backend.
+    Im G, one batched call per node array; a backend without
+    im_coincidence (the Sommerfeld integral) raises ValueError here,
+    before any sampling.  A softened mode-sum backend gets panel edges
+    at its lines so tabulations do not step over them, and a lossy
+    medium at the atom position raises through the backend.
     analytic_limit=True needs a cavity mode-sum backend and returns the
     discrete line masses instead (the vanishing-softening limit taken
     analytically, line by line).
     """
     spec = spec or QuadratureSpec()
     modeset = getattr(green, "modeset", None)
-    const = (getattr(green, "const", None)
-             or getattr(modeset, "const", None)
-             or Constants.natural())
+    const = green.const
 
     if analytic_limit:
         if modeset is None:
@@ -162,6 +162,10 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
             metadata={"n_modes": len(modeset), "path": "analytic-limit"},
         )
 
+    if not hasattr(green, "im_coincidence"):
+        raise ValueError(
+            "the %s backend has no coincidence Im G; the lna route needs "
+            "a closed-form or mode-sum backend" % type(green).__name__)
     if omega_max is None:
         omega_max = spec.omega_max
     gamma = atom.dipole
@@ -188,7 +192,7 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
     )
 
 
-def kernel_equivalence_check(discrete, continuous, taus, spec=None):
+def kernel_equivalence_check(discrete, continuous, taus):
     """max_tau | sum_k J_k e^{-i w_k tau} - int J(w) e^{-i w tau} dw |.
 
     The discrete side must be a line density; the continuous side may
@@ -316,7 +320,7 @@ def markov_coefficients(density, omega_d, spec=None):
     return complex(k1), complex(k2)
 
 
-def check_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8):
+def check_density_matrix(rho):
     """Validate a 2x2 state: Hermitian, unit trace, nonnegative spectrum.
 
     Returns the offending description or None.
@@ -324,11 +328,11 @@ def check_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10, eig_floor=-1e-8):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         return "shape %r is not (2, 2)" % (rho.shape,)
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         return "not Hermitian"
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         return "trace differs from 1"
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < eig_floor:
+    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -1e-8:
         return "negative eigenvalue"
     return None
 
@@ -448,6 +452,8 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
         raise ValueError("mode must be 'markov' or 'finite_memory'")
     if n_steps < 10:
         raise ValueError("n_steps must be >= 10")
+    if t_max <= 0.0:
+        raise ValueError("t_max must be positive")
     rho0 = np.asarray(rho0, dtype=complex)
     bad = check_density_matrix(rho0)
     if bad is not None:

@@ -34,7 +34,7 @@ def _background_eps(background):
         background = ConstantScalar(background)
     if not isinstance(background, PermittivityModel):
         raise TypeError("background must be a PermittivityModel or a real number")
-    if background.is_tensor or not isinstance(background, ConstantScalar):
+    if not isinstance(background, ConstantScalar):
         raise ValueError(
             "mode construction needs a position-independent real scalar background"
         )

@@ -138,13 +138,18 @@ def _gk15(f, lo, hi):
     """K15 values and G7-K15 error estimates of f on the panels [lo, hi].
 
     All nodes go to f in one call per _ROUND_PANELS panels; the error of
-    a panel is the max over the integrand's components.
+    a panel is the max over the integrand's components.  A non-finite
+    value raises ConvergenceError naming its node.
     """
     hw = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi)[:, None] + hw[:, None] * _NODES).ravel()
     step = 15 * _ROUND_PANELS
     fx = np.concatenate([np.asarray(f(x[i:i + step]))
                          for i in range(0, x.size, step)])
+    bad = ~np.isfinite(fx.reshape(x.size, -1)).all(axis=1)
+    if bad.any():
+        raise ConvergenceError("integrand is not finite at x = %.17g"
+                               % x[np.argmax(bad)])
     fx = fx.reshape((lo.size, 15) + fx.shape[1:])
     rules = np.tensordot(fx, _W, axes=(1, 0))
     rules *= hw.reshape((-1,) + (1,) * (rules.ndim - 1))
@@ -165,7 +170,8 @@ def integrate_adaptive(f, a, b, spec=None):
     (value, error_bound); error_bound is the sum of the accepted panels'
     G7-K15 estimates, an estimate rather than a rigorous bound.  Raises
     ConvergenceError (with .estimate / .error_bound attached) when the
-    next round would exceed max_subdivisions panels.
+    next round would exceed max_subdivisions panels, and (without them)
+    in the first round whose integrand value is not finite.
     """
     spec = spec or QuadratureSpec()
     a = float(a)
@@ -207,22 +213,20 @@ def integrate_adaptive(f, a, b, spec=None):
         n_panels += lo.size
 
 
-def integrate_pv(f, pole, a, b, spec=None, excision=None):
+def integrate_pv(f, pole, a, b, spec=None):
     """Cauchy principal value of f over [a, b] with a simple pole inside.
 
     f is the complete integrand including the singular factor.  Symmetric
-    excision at shrinking half-widths h, h/2, ..., h/16 leaves only odd
-    powers of h in the error; three Richardson stages remove the h, h^3
-    and h^5 terms.  Returns (value, error_bound).
+    excision at shrinking half-widths h, h/2, ..., h/16, with h the
+    smaller of spec.pv_excision and an eighth of the room to the nearer
+    end, leaves only odd powers of h in the error; three Richardson
+    stages remove the h, h^3 and h^5 terms.  Returns (value, error_bound).
     """
     spec = spec or QuadratureSpec()
     pole = float(pole)
     if not (a < pole < b):
         raise ValueError("pole must lie strictly inside (a, b)")
-    room = min(pole - a, b - pole)
-    h0 = excision if excision is not None else min(spec.pv_excision, room / 8.0)
-    if h0 <= 0.0 or h0 >= room:
-        raise ValueError("excision half-width out of range")
+    h0 = min(spec.pv_excision, min(pole - a, b - pole) / 8.0)
 
     vals = []
     errs = 0.0
@@ -285,25 +289,29 @@ def gauss_legendre(n):
     return x, w
 
 
-def fourier_table(weight, a, b, taus, rotation=0.0, n_gauss=24,
-                  max_phase=18.0, block=4096, edge_hints=None):
+# fourier_table: Gauss nodes per panel, most phase (rad) per panel
+_FT_GAUSS = 24
+_FT_MAX_PHASE = 18.0
+
+
+def fourier_table(weight, a, b, taus, rotation=0.0, edge_hints=None):
     """int_a^b w(omega) exp(-i (omega - rotation) tau) d(omega) for every tau.
 
-    Panel Gauss with the panel width chosen so the largest |tau| sees at
-    most max_phase radians of phase per panel, which keeps the fixed rule
-    accurate for all rows at once.  edge_hints inserts extra panel edges
-    where the weight has sharp features (narrow resonances) that the
-    uniform phase-bounded layout would step over.  weight may return
-    shape (nodes, k) for k channels sharing one phase matrix; the table
-    then has shape (len(taus), k).  The weight is sampled once, on the
-    whole node array; the transform is phase_sum, which factors it on a
-    uniform delay grid.
+    Panel Gauss (_FT_GAUSS nodes) with the panel width chosen so the
+    largest |tau| sees at most _FT_MAX_PHASE radians of phase per panel,
+    which keeps the fixed rule accurate for all rows at once.  edge_hints
+    inserts extra panel edges where the weight has sharp features (narrow
+    resonances) that the uniform phase-bounded layout would step over.
+    weight may return shape (nodes, k) for k channels sharing one phase
+    matrix; the table then has shape (len(taus), k).  The weight is
+    sampled once, on the whole node array; the transform is phase_sum,
+    which factors it on a uniform delay grid.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if b <= a:
         raise ValueError("need b > a")
     tau_scale = float(np.max(np.abs(taus)))
-    width = (b - a) if tau_scale == 0.0 else max_phase / tau_scale
+    width = (b - a) if tau_scale == 0.0 else _FT_MAX_PHASE / tau_scale
     n_panels = max(int(np.ceil((b - a) / width)), 4)
     edges = np.linspace(a, b, n_panels + 1)
     if edge_hints is not None:
@@ -313,13 +321,13 @@ def fourier_table(weight, a, b, taus, rotation=0.0, n_gauss=24,
         # collapse near-duplicate edges so panel widths stay positive
         keep = np.concatenate([[True], np.diff(edges) > 1e-13 * (b - a)])
         edges = edges[keep]
-    x, w = gauss_legendre(n_gauss)
+    x, w = gauss_legendre(_FT_GAUSS)
     lo = edges[:-1][:, None]
     hw = 0.5 * np.diff(edges)[:, None]
     nodes = (lo + hw * (x[None, :] + 1.0)).ravel()
     wts = (hw * w[None, :]).ravel()
     fw = (wts * np.asarray(weight(nodes), dtype=complex).T).T
-    return phase_sum(taus, nodes - rotation, fw, block)
+    return phase_sum(taus, nodes - rotation, fw)
 
 
 def phase_sum(taus, nu, weights, block=4096):
@@ -405,12 +413,14 @@ def _phases(t, nu, exact):
     return out
 
 
-# rows per dense leaf of the Toeplitz solve in volterra_march
+# rows per dense leaf of the Toeplitz solve in volterra_march, and the
+# |y| past which the march counts as diverged
 _LEAF = 128
+_BLOWUP = 10.0
 
 
-def volterra_march(kernel, h, y0=1.0 + 0.0j, blowup=10.0):
-    """March y'(t) = int_0^t K(t - s) y(s) ds on a uniform grid.
+def volterra_march(kernel, h):
+    """March y'(t) = int_0^t K(t - s) y(s) ds, y0 = y(0) = 1, uniform grid.
 
     kernel holds K(i h) for i = 0..N; returns y at the same nodes.  The
     product-trapezoid predictor-corrector (second order in h) is linear
@@ -423,7 +433,7 @@ def volterra_march(kernel, h, y0=1.0 + 0.0j, blowup=10.0):
     right-hand side; leaves of _LEAF rows share one inverse and carry
     y_{lo-1} in increments, so a_1 stays out of the FFT and rounding
     does not build up step by step.  Raises RuntimeError at the first
-    step whose |y| exceeds blowup or is not finite.
+    step whose |y| exceeds _BLOWUP or is not finite.
     """
     k = np.ascontiguousarray(kernel, dtype=complex)
     if k.ndim != 1 or k.size < 2:
@@ -439,7 +449,7 @@ def volterra_march(kernel, h, y0=1.0 + 0.0j, blowup=10.0):
     a[1:] = beta * h * k[:n] + 0.5 * h * h * k[1:]
     a[1] += 0.25 * h * h * k[0] - 0.5 * beta * h * k[0]  # a_1 - 1
     d1 = a[1]
-    y = np.full(n + 1, y0, dtype=complex)
+    y = np.ones(n + 1, dtype=complex)
     rhs = 0.5 * y[0] * a
     rhs[1] = y[0] * (0.25 * h * h * (k[0] + k[1]) - d1)  # y_1 = a_1 y_0 + rhs_1
     # c = b - 1 for the leaf inverse's first column b, in increments
@@ -458,7 +468,7 @@ def volterra_march(kernel, h, y0=1.0 + 0.0j, blowup=10.0):
             carry = y[lo - 1]
             rhs[lo] += d1 * carry
             y[lo:hi] = carry + (c[:size] * carry + inv[:size, :size] @ rhs[lo:hi])
-            bad = ~(np.abs(y[lo:hi]) <= blowup)
+            bad = ~(np.abs(y[lo:hi]) <= _BLOWUP)
             if bad.any():
                 i = lo + int(np.argmax(bad))
                 raise RuntimeError(

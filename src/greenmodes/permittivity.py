@@ -1,23 +1,20 @@
 """Permittivity models.
 
-A model maps frequency to a relative permittivity, either a complex
-scalar or a complex symmetric 3x3 tensor; every model is homogeneous.
-All models are passive: construction rejects parameters that would
-describe gain at positive frequency.  Evaluation at negative real frequency returns the Schwarz
+A model maps frequency to a homogeneous complex scalar relative
+permittivity; no Green backend or mode builder handles anisotropic
+media, so there is no tensor model.  All models are passive:
+construction rejects parameters that would describe gain at positive
+frequency.  Evaluation at negative real frequency returns the Schwarz
 reflection eps(-omega) = conj(eps(omega)), which analytic response
 functions satisfy identically and which the constant (single-frequency
-idealization) models enforce by hand.
+idealization) model enforces by hand.
 """
 
 import numpy as np
 
-from .tensors import antihermitian_part_over_i, c33, is_psd
-
 
 class PermittivityModel:
     """Base class.  Subclasses implement _eval_pos(omega >= 0 branch)."""
-
-    is_tensor = False
 
     def eval(self, omega):
         """Permittivity at frequency omega, vectorized, causal reflection
@@ -86,27 +83,3 @@ class DrudeLorentz(PermittivityModel):
 
     def __repr__(self):
         return "DrudeLorentz(eps_inf=%r, poles=%r)" % (self.eps_inf, self.poles)
-
-
-class ConstantTensor(PermittivityModel):
-    """Constant complex symmetric 3x3 permittivity (reciprocal medium).
-
-    Passivity requires the absorption tensor (eps - eps^dagger)/2i to be
-    positive semidefinite.  Same single-frequency caveat as ConstantScalar.
-    """
-
-    is_tensor = True
-
-    def __init__(self, value):
-        value = c33(value)
-        if np.max(np.abs(value - value.T)) > 1e-12 * max(1.0, np.max(np.abs(value))):
-            raise ValueError("permittivity tensor must be symmetric (reciprocity)")
-        if not is_psd(antihermitian_part_over_i(value), tol=1e-10):
-            raise ValueError("gain medium: absorption tensor not PSD")
-        self.value = value
-
-    def _eval_pos(self, omega):
-        omega = np.asarray(omega)
-        out = np.empty(omega.shape + (3, 3), dtype=complex)
-        out[...] = self.value
-        return out

@@ -12,43 +12,21 @@ def r3(v):
     return out
 
 
-def c33(m):
-    out = np.asarray(m, dtype=complex)
-    if out.shape != (3, 3):
-        raise ValueError("expected a 3x3 tensor, got shape %s" % (out.shape,))
-    return out
-
-
 def dagger(m):
     return np.conj(np.swapaxes(m, -1, -2))
-
-
-def antihermitian_part_over_i(m):
-    """(M - M^dagger) / 2i.  Equals elementwise Im(M) when M is symmetric."""
-    m = np.asarray(m)
-    return (m - dagger(m)) / 2.0j
-
-
-def hermitian_part(m):
-    m = np.asarray(m)
-    return (m + dagger(m)) / 2.0
 
 
 def max_abs(m):
     return float(np.max(np.abs(m)))
 
 
-def is_hermitian(m, tol=1e-12):
-    m = np.asarray(m)
-    scale = max(max_abs(m), 1.0)
-    return max_abs(m - dagger(m)) <= tol * scale
-
-
 def is_psd(m, tol=1e-10):
-    """Hermitian positive semidefinite test with a relative eigenvalue floor."""
+    """Hermitian positive semidefinite test: Hermitian to tol relative to
+    max(max|m|, 1), and no eigenvalue of the Hermitian part below -tol
+    relative to max(max|eig|, 1)."""
     m = np.asarray(m)
-    if not is_hermitian(m, tol):
+    if not max_abs(m - dagger(m)) <= tol * max(max_abs(m), 1.0):
         return False
-    w = np.linalg.eigvalsh(hermitian_part(m))
+    w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
     scale = max(float(np.max(np.abs(w))), 1.0)
     return bool(np.min(w) >= -tol * scale)

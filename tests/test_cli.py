@@ -345,6 +345,33 @@ def test_huge_conversion_eta_does_not_escape(tmp_path, capsys):
     assert report["rel_residual"] == 1.0
 
 
+def test_non_finite_conversion_integrand_exits_numeric(tmp_path, capsys):
+    # at eta = 1.7e308 the softened integrand is inf / inf: reported at
+    # its node, not as a quadrature that ran out of panels
+    payload = cube_scenario(name="p1-nan")
+    payload["conversion"] = {"r": [0.31, 0.52, 0.47],
+                             "r0": [0.31, 0.52, 0.47]}
+    cfg = write_scenario(tmp_path / "p1.json", payload)
+    code = run(["check-p1", "--config", cfg, "--out", tmp_path / "out",
+                "--quiet", "--set", "conversion.eta=1.7e308"])
+    err = _assert_error(code, cli.EXIT_NUMERIC, "convergence", capsys)
+    assert err["error"]["type"] == "ConvergenceError"
+    assert "not finite at x = " in err["error"]["message"]
+
+
+def test_ww_on_sommerfeld_backend_exits_schema(tmp_path, capsys):
+    # the lna kernel needs a coincidence Im G, which the Sommerfeld
+    # integral does not have: a bad scenario, not a numerical failure
+    cfg = write_scenario(tmp_path / "ww.json", ww_scenario(name="ww-somm"))
+    out = tmp_path / "out"
+    code = run(["ww", "--config", cfg, "--out", out, "--quiet",
+                "--set", "backend.type=sommerfeld"])
+    err = _assert_error(code, cli.EXIT_SCHEMA, "schema", capsys)
+    assert list(out.iterdir()) == []
+    assert err["error"]["type"] == "ValueError"
+    assert "BulkSommerfeld" in err["error"]["message"]
+
+
 def test_ww_summary_carries_march_error(tmp_path):
     cfg = write_scenario(tmp_path / "ww.json", ww_scenario())
     out = tmp_path / "out"

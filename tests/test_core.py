@@ -5,7 +5,6 @@ import pytest
 
 from greenmodes import (
     ConstantScalar,
-    ConstantTensor,
     Constants,
     DrudeLorentz,
     Drive,
@@ -13,13 +12,7 @@ from greenmodes import (
     TwoLevelAtom,
     thermal_occupation,
 )
-from greenmodes.tensors import (
-    antihermitian_part_over_i,
-    c33,
-    dagger,
-    is_psd,
-    r3,
-)
+from greenmodes.tensors import dagger, is_psd, r3
 
 
 def test_natural_units_are_unity():
@@ -38,23 +31,15 @@ def test_dagger_involution_exact(rng):
     assert np.array_equal(dagger(dagger(m)), m)
 
 
-def test_antihermitian_part_of_hermitian_is_zero(rng):
-    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    h = 0.5 * (h + dagger(h))
-    assert np.max(np.abs(antihermitian_part_over_i(h))) < 1e-15
-
-
 def test_is_psd_rejects_negative_direction():
     m = np.diag([1.0, 1.0, -0.1]).astype(complex)
     assert not is_psd(m, tol=1e-12)
     assert is_psd(np.eye(3, dtype=complex), tol=1e-12)
 
 
-def test_r3_c33_shape_checks():
+def test_r3_shape_check():
     with pytest.raises(ValueError):
         r3([1.0, 2.0])
-    with pytest.raises(ValueError):
-        c33(np.zeros((2, 3)))
 
 
 # -- permittivity ----------------------------------------------------------
@@ -62,7 +47,6 @@ def test_r3_c33_shape_checks():
 ALL_MODELS = [
     ConstantScalar(2.25 + 0.3j),
     DrudeLorentz(eps_inf=1.5, poles=[(0.8, 1.2, 0.05), (0.4, 2.0, 0.1)]),
-    ConstantTensor(np.diag([2.0 + 0.1j, 2.5 + 0.2j, 3.0 + 0.05j])),
 ]
 
 
@@ -93,15 +77,6 @@ def test_gain_rejected():
         ConstantScalar(1.0 - 0.2j)
     with pytest.raises(ValueError):
         DrudeLorentz(poles=[(1.0, 1.0, -0.1)])
-    with pytest.raises(ValueError):
-        ConstantTensor(np.diag([1.0 - 0.5j, 1.0, 1.0]))
-
-
-def test_tensor_must_be_symmetric():
-    m = np.eye(3, dtype=complex)
-    m[0, 1] = 0.3
-    with pytest.raises(ValueError):
-        ConstantTensor(m)
 
 
 # -- thermal state ---------------------------------------------------------

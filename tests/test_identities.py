@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenmodes import (
-    BulkClosedForm,
     CavityGeometry,
     ConstantScalar,
     IdentityReport,
@@ -105,10 +104,9 @@ def test_conversion_rejects_omega_max_below_band(cube_modeset):
 def test_magic_formula_lossy_bulk():
     omega = 1.0
     eps = ConstantScalar(1.0 + 1e-2j)
-    green = BulkClosedForm(eps)
     # kd = 2 at eps ~ 1
     d = 2.0 / omega
-    rep = check_magic_formula(green, eps, np.array([d, 0.0, 0.0]),
+    rep = check_magic_formula(eps, np.array([d, 0.0, 0.0]),
                               np.zeros(3), omega, spec=SPEC)
     assert rep.rel_residual < 2e-2
     assert rep.metadata["path"] == "generic"
@@ -119,9 +117,8 @@ def test_magic_formula_coincidence_is_psd():
     # absorption, so keep Im eps small here
     omega = 1.0
     eps = ConstantScalar(1.0 + 1e-3j)
-    green = BulkClosedForm(eps)
     r = np.array([0.3, -0.1, 0.2])
-    rep = check_magic_formula(green, eps, r, r, omega, spec=SPEC)
+    rep = check_magic_formula(eps, r, r, omega, spec=SPEC)
     assert rep.metadata["lhs_psd"]
     lhs = np.asarray(rep.lhs)
     assert np.max(np.abs(lhs - lhs.T.conj())) < 1e-10 * np.max(np.abs(lhs))
@@ -130,20 +127,18 @@ def test_magic_formula_coincidence_is_psd():
 
 def test_magic_formula_needs_absorption():
     eps = ConstantScalar(2.0)
-    green = BulkClosedForm(eps)
     with pytest.raises(ValueError):
-        check_magic_formula(green, eps, np.array([1.0, 0, 0]), np.zeros(3),
+        check_magic_formula(eps, np.array([1.0, 0, 0]), np.zeros(3),
                             1.0, spec=SPEC)
 
 
 def test_magic_formula_swap_transposes_sides():
     omega = 1.0
     eps = ConstantScalar(1.0 + 5e-2j)
-    green = BulkClosedForm(eps)
     r = np.array([1.6, 0.7, -0.4])
     r0 = np.array([-0.2, 0.1, 0.3])
-    a = check_magic_formula(green, eps, r, r0, omega, spec=SPEC)
-    b = check_magic_formula(green, eps, r0, r, omega, spec=SPEC)
+    a = check_magic_formula(eps, r, r0, omega, spec=SPEC)
+    b = check_magic_formula(eps, r0, r, omega, spec=SPEC)
     scale = max(np.max(np.abs(a.lhs)), 1e-30)
     assert np.max(np.abs(np.asarray(a.rhs) - np.asarray(b.rhs).T)) < 1e-10 * scale
     # swapping the arguments conjugate-transposes the product under the
@@ -190,8 +185,7 @@ def test_factored_volume_sum_matches_dense_product(n, re_k, im_k, spread,
 def test_surface_closure_lossless():
     omega = 1.0
     eps = ConstantScalar(1.0)
-    green = BulkClosedForm(eps)
-    rep = check_surface_term(green, 25.0, np.array([0.9, 0.2, -0.3]),
+    rep = check_surface_term(eps, 25.0, np.array([0.9, 0.2, -0.3]),
                              np.array([-0.4, 0.1, 0.5]), omega, spec=SPEC)
     assert rep.rel_residual < 5e-2
 
@@ -202,8 +196,8 @@ def test_surface_term_vanishes_with_loss():
     # Im k R >= 5
     k_im = np.sqrt(complex(1.0, delta)).imag * omega
     radius = 5.0 / k_im
-    green = BulkClosedForm(ConstantScalar(1.0 + 1j * delta))
-    rep = check_surface_term(green, radius, np.array([0.45, 0.0, 0.0]),
+    eps = ConstantScalar(1.0 + 1j * delta)
+    rep = check_surface_term(eps, radius, np.array([0.45, 0.0, 0.0]),
                              np.array([-0.45, 0.0, 0.0]), omega, spec=SPEC)
     surf = np.max(np.abs(np.asarray(rep.extras["surface_term"])))
     scale = np.max(np.abs(np.asarray(rep.rhs)))
@@ -214,9 +208,8 @@ def test_surface_term_vanishes_with_loss():
 
 
 def test_surface_radius_margin_enforced():
-    green = BulkClosedForm(ConstantScalar(1.0))
     with pytest.raises(ValueError):
-        check_surface_term(green, 1.0, np.array([0.9, 0, 0]),
+        check_surface_term(ConstantScalar(1.0), 1.0, np.array([0.9, 0, 0]),
                            np.array([-0.9, 0, 0]), 1.0, spec=SPEC)
 
 
@@ -283,8 +276,7 @@ def test_identity_reports_carry_quad_error(check, cube_modeset):
         rep = check_conversion_p1(cube_modeset, R_IN, R0_IN, spec=SPEC,
                                   lhs_path="analytic")
     elif check == "magic_coincidence":
-        rep = check_magic_formula(BulkClosedForm(eps), eps, r, r, 1.0,
-                                  spec=SPEC)
+        rep = check_magic_formula(eps, r, r, 1.0, spec=SPEC)
     else:
         rep = check_appendix_lossless_limit(np.array([0.4, 0.2, 1.1]),
                                             np.zeros(3), 1.0, spec=SPEC)

@@ -8,6 +8,7 @@ from conftest import make_atom
 
 from greenmodes import (
     BulkClosedForm,
+    BulkSommerfeld,
     CavityModeSum,
     ConstantScalar,
     Constants,
@@ -106,6 +107,13 @@ def test_density_lna_analytic_limit_needs_mode_sum():
     with pytest.raises(ValueError):
         spectral_density_lna(BulkClosedForm(ConstantScalar(1.0)),
                              make_atom(), analytic_limit=True)
+
+
+def test_density_lna_needs_coincidence_im_g():
+    # the Sommerfeld backend has no coincidence limit: the density is
+    # refused when it is built, naming the backend, before any sampling
+    with pytest.raises(ValueError, match="BulkSommerfeld"):
+        spectral_density_lna(BulkSommerfeld(ConstantScalar(1.0)), make_atom())
 
 
 def test_density_routes_agree_line_by_line(cube_modeset):
@@ -369,6 +377,22 @@ def test_evolve_validation():
     skew = np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
         evolve_master_equation(atom, dens, skew, 1.0, 100)
+
+
+@pytest.mark.parametrize("mode", ["markov", "finite_memory"])
+def test_evolve_rejects_non_positive_t_max_before_marching(mode):
+    calls = []
+
+    def sampler(w):
+        calls.append(1)
+        return vacuum_sampler(w)
+
+    dens = SpectralDensity(sampler=sampler, omega_max=2.0)
+    atom = make_atom(position=(0.0, 0.0, 0.0), dipole=(0.0, 0.0, 0.6))
+    for t_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            evolve_master_equation(atom, dens, EXCITED, t_max, 100, mode=mode)
+    assert calls == []
 
 
 def test_steady_state_requires_markov_mode():

@@ -83,6 +83,22 @@ def test_adaptive_budget_exhaustion_raises_with_estimate():
     assert exc.value.error_bound > 0.0
 
 
+def test_adaptive_non_finite_integrand_raises_in_its_round():
+    # a NaN beyond x = 0.5 is reported at its node after the first call,
+    # not bisected up to the panel limit
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where(x > 0.5, np.nan, x)
+
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_adaptive(f, 0.0, 1.0, QuadratureSpec())
+    assert calls == [15]
+    first = 0.5 * (1.0 + numerics._NODES[numerics._NODES > 0.0][0])
+    assert str(exc.value).endswith("not finite at x = %.17g" % first)
+
+
 def test_adaptive_makes_one_integrand_call_per_round():
     eta = 1e-3
     calls = []
@@ -334,7 +350,7 @@ def test_volterra_blowup_guard():
     grid = Grid1D(0.0, 40.0, 801)
     kern = np.full(grid.n_points, +4.0, dtype=complex)  # growing solution
     with pytest.raises(RuntimeError):
-        volterra_march(kern, grid.h, blowup=10.0)
+        volterra_march(kern, grid.h)
 
 
 def test_volterra_input_validation():
@@ -404,7 +420,7 @@ def test_volterra_blowup_names_first_divergent_step():
     ref = np.abs(_recurrence_long_double(kern, 0.05)).astype(float)
     first = int(np.argmax(ref > 10.0))
     with pytest.raises(RuntimeError, match="step %d " % first):
-        volterra_march(kern, 0.05, blowup=10.0)
+        volterra_march(kern, 0.05)
 
 
 def test_march_error_tracks_true_error_on_flat_kernel():
