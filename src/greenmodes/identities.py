@@ -400,6 +400,9 @@ def check_magic_formula(eps_model, r, r0, omega, spec=None,
             "the volume identity needs absorption: some level of loss "
             "must be present (Im eps > 0)"
         )
+    if exclusion_radius is not None and not exclusion_radius > 0.0:
+        raise ValueError("exclusion_radius must be positive: the core of "
+                         "G G^dagger is not integrable at the source")
     k = wavenumber(omega, eps, const)
     r = r3(r)
     r0 = r3(r0)
@@ -496,6 +499,10 @@ def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None,
     k = wavenumber(omega, eps, const)
     r = r3(r)
     r0 = r3(r0)
+    d = float(np.linalg.norm(r - r0))
+    if eps.imag > 0.0 and d == 0.0:
+        raise ValueError(
+            "lossy coincidence has no finite Im G; separate the points")
     center = 0.5 * (r + r0)
     radius = float(sphere_radius)
     margin = min(radius - np.linalg.norm(r - center),
@@ -517,12 +524,7 @@ def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None,
         if change <= 1e-2:
             break
 
-    d = float(np.linalg.norm(r - r0))
     if eps.imag > 0.0:
-        if d == 0.0:
-            raise ValueError(
-                "lossy coincidence has no finite Im G; separate the points"
-            )
         # far region truncated at the ellipsoid inscribed by the sphere;
         # the residual shell is exponentially suppressed by Im k * R
         vol_sum, cross, g_d, _, _ = _volume_terms(

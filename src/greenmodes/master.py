@@ -11,13 +11,15 @@ with S either a mode sum (discrete density) or a frequency integral
 SpectralDensity at T = 0 is the weight behind the decay module's memory
 kernel, D(tau) = -C_up(tau) at w_d = omega0.
 
-Both shipped modes act through one 4x4 Liouvillian L(k1, k2) on
-vec(rho).  'finite_memory' keeps the literal int_0^t coefficients and
-marches fixed fourth-order steps built from L, halving the step until
-rho_ee settles.  'markov' extends the coefficients to infinity, which
-gives a constant-rate Lindblad form with rates 2 pi J(w_d)(n+1),
-2 pi J(w_d) n and a principal-value level shift; it propagates exactly
-with exp(h L) on the requested grid.
+Both shipped modes act through one real generator A(k1, k2) on the
+Bloch vector x = (rho_ee, Re rho_eg, Im rho_eg, 1), so every step map is
+an affine 4x4 matrix, applied by a sqrt(n)-blocked scan.
+'finite_memory' keeps the literal int_0^t coefficients and marches
+fixed fourth-order steps built from A, halving the step until rho_ee
+settles.  'markov' extends the coefficients to infinity, which gives a
+constant-rate Lindblad form with rates 2 pi J(w_d)(n+1), 2 pi J(w_d) n
+and a principal-value level shift; it propagates exactly with exp(h A)
+on the requested grid.
 
 Basis convention: index 0 is the excited state, index 1 the ground state.
 """
@@ -350,47 +352,75 @@ def _hamiltonian_over_hbar(atom):
     return np.array([[det, 0.5 * rabi], [0.5 * rabi, 0.0]], dtype=complex)
 
 
-def _liouvillian(hmat, k1, k2):
-    """Generator L(k1, k2) acting on the row-major vec(rho) = (ee, eg, ge,
-    gg), batched over the broadcast shape of the coefficient arrays:
-    coherent part -i [H, rho], population rates 2 Re k1 (down) and
-    2 Re k2 (up), coherence damping k1 + conj(k2)."""
+def _bloch_generator(hmat, k1, k2):
+    """Generator of dx/dt = A x on the real Bloch vector x = (rho_ee,
+    Re rho_eg, Im rho_eg, 1), batched over the broadcast shape of the
+    coefficient arrays: rates 2 Re k1 (down) and 2 Re k2 (up), coherence
+    damping and rotation from k1 + conj(k2).  rho_gg = 1 - rho_ee and
+    rho_ge = conj(rho_eg) hold exactly; the last row is zero (affine)."""
     k1 = np.asarray(k1, dtype=complex)
     k2 = np.asarray(k2, dtype=complex)
-    eye = np.eye(2)
-    lmat = np.empty(np.broadcast_shapes(k1.shape, k2.shape) + (4, 4),
-                    dtype=complex)
-    lmat[...] = -1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T))
-    g1 = 2.0 * k1.real
+    rabi = 2.0 * hmat[0, 1].real
     g2 = 2.0 * k2.real
-    lmat[..., 0, 0] -= g1
-    lmat[..., 0, 3] += g2
-    lmat[..., 3, 0] += g1
-    lmat[..., 3, 3] -= g2
-    lmat[..., 1, 1] -= k1 + np.conj(k2)
-    lmat[..., 2, 2] -= np.conj(k1) + k2
-    return lmat
+    damp = k1.real + k2.real
+    w = k1.imag - k2.imag + hmat[0, 0].real
+    amat = np.zeros(np.broadcast_shapes(k1.shape, k2.shape) + (4, 4))
+    amat[..., 0, 0] = -(2.0 * k1.real + g2)
+    amat[..., 0, 2] = -rabi
+    amat[..., 0, 3] = g2
+    amat[..., 1, 1] = -damp
+    amat[..., 1, 2] = w
+    amat[..., 2, 0] = rabi
+    amat[..., 2, 1] = -w
+    amat[..., 2, 2] = -damp
+    amat[..., 2, 3] = -0.5 * rabi
+    return amat
 
 
 def _rk4_propagators(hmat, k1_tab, k2_tab, h):
-    """Classical fourth-order step of d vec(rho)/dt = L(t) vec(rho) as
-    one 4x4 matrix per step; the coefficient tables sit on the half-step
-    grid (indices 2i, 2i + 1, 2i + 2 are a step's start, middle, end)."""
-    lmat = h * _liouvillian(hmat, k1_tab, k2_tab)
-    a, b, c = lmat[:-1:2], lmat[1::2], lmat[2::2]
+    """Classical fourth-order step of dx/dt = A(t) x as one real 4x4
+    matrix per step, returned minus the identity; the coefficient tables
+    sit on the half-step grid (indices 2i, 2i + 1, 2i + 2 are a step's
+    start, middle, end)."""
+    amat = h * _bloch_generator(hmat, k1_tab, k2_tab)
+    a, b, c = amat[:-1:2], amat[1::2], amat[2::2]
     s2 = b + 0.5 * (b @ a)
     s3 = b + 0.5 * (b @ s2)
     s4 = c + c @ s3
-    return np.eye(4) + (a + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
+    return (a + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
 
 
-def _propagate(rho0, steps):
-    """Apply the per-step propagators in order; returns every state."""
-    vecs = np.empty((len(steps) + 1, 4), dtype=complex)
-    vecs[0] = rho0.reshape(4)
-    for i, step in enumerate(steps):
-        vecs[i + 1] = step @ vecs[i]
-    return vecs.reshape(-1, 2, 2)
+def _density_matrices(x):
+    """2x2 states from Bloch vectors (rho_ee, Re rho_eg, Im rho_eg, ...)
+    stacked along the first axis."""
+    eg = x[:, 1] + 1j * x[:, 2]
+    return np.stack([x[:, 0], eg, eg.conj(), 1.0 - x[:, 0]],
+                    axis=-1).reshape(-1, 2, 2)
+
+
+def _propagate(rho0, deltas):
+    """Apply the step maps I + deltas[i] in order; returns every state.
+    Blocks of ~sqrt(n) steps (the last padded with zeros) get prefix
+    products by one stacked matmul per in-block position, kept minus the
+    identity, (I + D)(I + Q) - I = D + Q + DQ, so near-identity steps are
+    not rounded at 1; the state is carried across the block ends and one
+    einsum applies the prefixes."""
+    n = len(deltas)
+    size = int(np.ceil(np.sqrt(n)))
+    n_blocks = -(-n // size)
+    blocks = np.concatenate([deltas, np.zeros((n_blocks * size - n, 4, 4))]
+                            ).reshape(n_blocks, size, 4, 4)
+    prefix = np.empty((size, n_blocks, 4, 4))
+    prefix[0] = blocks[:, 0]
+    for j in range(1, size):
+        d = blocks[:, j]
+        prefix[j] = d @ prefix[j - 1] + d + prefix[j - 1]
+    starts = np.empty((n_blocks, 4))
+    starts[0] = (rho0[0, 0].real, rho0[0, 1].real, rho0[0, 1].imag, 1.0)
+    for k in range(1, n_blocks):
+        starts[k] = starts[k - 1] + prefix[-1, k - 1] @ starts[k - 1]
+    x = starts[:, None] + np.einsum("jkab,kb->kja", prefix, starts)
+    return _density_matrices(np.vstack([starts[:1], x.reshape(-1, 4)[:n]]))
 
 
 @dataclass
@@ -425,12 +455,12 @@ class MasterTrajectory:
         """Null state of the constant generator (markov mode only)."""
         if self.mode != "markov":
             raise ValueError("steady state defined for markov mode")
-        lmat = _liouvillian(self.metadata["hmat"], self.k1, self.k2)
-        a = np.vstack([lmat, np.array([[1.0, 0.0, 0.0, 1.0]])])
-        b = np.zeros(5, dtype=complex)
-        b[4] = 1.0
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        return sol.reshape(2, 2)
+        amat = _bloch_generator(self.metadata["hmat"], self.k1, self.k2)
+        # A y = -A x_mix - b for y = x - x_mix, x_mix = (1/2, 0, 0): with
+        # vanishing rates the minimum-norm answer is the maximally mixed state
+        rhs = -amat[:3, 3] - 0.5 * amat[:3, 0]
+        y, *_ = np.linalg.lstsq(amat[:3, :3], rhs, rcond=None)
+        return _density_matrices(y[None] + [0.5, 0.0, 0.0])[0]
 
 
 def evolve_master_equation(atom, density, rho0, t_max, n_steps,
@@ -439,7 +469,7 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
     """Evolve the reduced state under the memory-integral equation.
 
     mode 'markov': coefficients frozen at their half-line values
-    (constant-rate Lindblad form), propagated exactly with exp(h L) on
+    (constant-rate Lindblad form), propagated exactly with exp(h A) on
     the requested grid; trace or positivity violation raises
     RuntimeError with the offending time.  mode 'finite_memory': literal
     int_0^t coefficients from correlator tables, fourth-order steps;
@@ -468,8 +498,13 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
         from scipy.linalg import expm
 
         k1c, k2c = markov_coefficients(density, omega_d, spec)
-        step = expm((t_max / n) * _liouvillian(hmat, k1c, k2c))
-        rhos = _propagate(rho0, np.broadcast_to(step, (n, 4, 4)))
+        # exp(hA) - I without rounding at 1: hA phi1(hA), with phi1 the
+        # corner of exp([[hA, I], [0, 0]]) = [[exp(hA), phi1(hA)], [0, I]]
+        aug = np.zeros((8, 8))
+        aug[:4, :4] = (t_max / n) * _bloch_generator(hmat, k1c, k2c)
+        aug[:4, 4:] = np.eye(4)
+        delta = aug[:4, :4] @ expm(aug)[:4, 4:]
+        rhos = _propagate(rho0, np.broadcast_to(delta, (n, 4, 4)))
     else:
         k1c = k2c = 0.0 + 0.0j
 
@@ -498,9 +533,10 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
     tr = np.einsum("nii->n", rhos).real
     drift = np.max(np.abs(tr - 1.0))
     herm = np.max(np.abs(rhos - np.conj(np.transpose(rhos, (0, 2, 1)))))
-    eigs = np.linalg.eigvalsh(0.5 * (rhos + np.conj(np.transpose(rhos, (0, 2, 1)))))
+    # eigenvalues of a unit-trace Hermitian 2x2 state: 1/2 +- |Bloch vector|
+    eigs = 0.5 - np.hypot(rhos[:, 0, 0].real - 0.5, np.abs(rhos[:, 0, 1]))
     min_eig = float(np.min(eigs))
-    worst_t = grid.points[int(np.argmin(eigs.min(axis=1)))]
+    worst_t = grid.points[int(np.argmin(eigs))]
     if drift > 1e-6:
         msg = "trace drift %.3e at t <= %g" % (drift, t_max)
         if mode == "markov":

@@ -303,6 +303,19 @@ def test_non_finite_number_exits_schema(tmp_path, capsys, subcommand,
     assert list(tmp_path.glob("never-created/*")) == []
 
 
+def test_magic_zero_exclusion_radius_exits_schema(tmp_path, capsys):
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                       "accept04.json")
+    out = tmp_path / "out"
+    code = run(["check-magic", "--config", cfg, "--out", out, "--quiet",
+                "--set", "magic.exclusion_radius=0",
+                "--set", "magic.r=[0.3,0.2,0.1]",
+                "--set", "magic.r0=[0.3,0.2,0.1]"])
+    err = _assert_error(code, cli.EXIT_SCHEMA, "schema", capsys)
+    assert err["error"]["type"] == "ValueError"
+    assert "exclusion_radius" in err["error"]["message"]
+
+
 def test_top_level_array_with_override_exits_schema(tmp_path, capsys):
     cfg = write_scenario(tmp_path / "array.json", [cube_scenario()])
     code = run(["modes", "--config", cfg, "--quiet",

@@ -132,6 +132,24 @@ def test_magic_formula_needs_absorption():
                             1.0, spec=SPEC)
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.1])
+def test_magic_formula_rejects_non_positive_exclusion_radius(radius,
+                                                             monkeypatch):
+    # the coincidence core of G G^dagger goes as 1/rho^4: a ball of zero
+    # radius leaves it non-integrable, so the check refuses before any
+    # quadrature instead of reporting a ~1e48 lhs
+    from greenmodes import identities
+
+    calls = []
+    monkeypatch.setattr(identities, "integrate_adaptive",
+                        lambda *args, **kw: calls.append(1))
+    r = np.array([0.3, 0.2, 0.1])
+    with pytest.raises(ValueError, match="exclusion_radius"):
+        check_magic_formula(ConstantScalar(1.0 + 0.1j), r, r, 1.0,
+                            spec=SPEC, exclusion_radius=radius)
+    assert calls == []
+
+
 def test_magic_formula_swap_transposes_sides():
     omega = 1.0
     eps = ConstantScalar(1.0 + 5e-2j)
@@ -211,6 +229,21 @@ def test_surface_radius_margin_enforced():
     with pytest.raises(ValueError):
         check_surface_term(ConstantScalar(1.0), 1.0, np.array([0.9, 0, 0]),
                            np.array([-0.9, 0, 0]), 1.0, spec=SPEC)
+
+
+def test_surface_lossy_coincidence_rejected_before_any_flux(monkeypatch):
+    # the rejection reads only eps and the separation, so no sphere flux
+    # may be evaluated first
+    from greenmodes import identities
+
+    calls = []
+    monkeypatch.setattr(identities, "_surface_flux",
+                        lambda *args: calls.append(1))
+    r = np.array([0.2, 0.1, 0.0])
+    with pytest.raises(ValueError, match="lossy coincidence"):
+        check_surface_term(ConstantScalar(1.0 + 0.5j), 30.0, r, r, 1.0,
+                           spec=SPEC)
+    assert calls == []
 
 
 # -- planar lossless limit -------------------------------------------------

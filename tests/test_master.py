@@ -1,8 +1,13 @@
 """Spectral densities, bath correlators, Markov coefficients and the
 driven master equation."""
 
+import json
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_atom
 
@@ -24,7 +29,8 @@ from greenmodes import (
     spectral_density_lna,
     spectral_density_nmqed,
 )
-from greenmodes.master import resonance_edge_hints
+from greenmodes.cli import main as cli_main
+from greenmodes.master import _hamiltonian_over_hbar, resonance_edge_hints
 
 # PV integral of (w^3 / 6 pi^2) / (w - 1) on [0, 2]
 # frozen reference: scipy.integrate.quad, weight='cauchy'
@@ -402,3 +408,150 @@ def test_steady_state_requires_markov_mode():
                                   mode="finite_memory", max_refinements=0)
     with pytest.raises(ValueError):
         traj.steady_state()
+
+
+# -- the Bloch-vector march against the complex vec(rho) reference -------------
+#
+# Reference: the generator on the row-major vec(rho) = (ee, eg, ge, gg) as a
+# complex 4x4 Liouvillian, the same RK4 formula and one matrix-vector
+# product per step, all in long double: the double-precision loop itself
+# errs by up to ~1e-13 of max|rho| over 2 000 Markov steps, as much as the
+# bound below.
+
+LD = np.clongdouble
+
+
+def _ref_liouvillian(hmat, k1, k2):
+    hmat = np.asarray(hmat, dtype=LD)
+    k1 = np.asarray(k1, dtype=LD)
+    k2 = np.asarray(k2, dtype=LD)
+    eye = np.eye(2, dtype=LD)
+    lmat = np.empty(np.broadcast_shapes(k1.shape, k2.shape) + (4, 4),
+                    dtype=LD)
+    lmat[...] = -1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T))
+    g1 = 2.0 * k1.real
+    g2 = 2.0 * k2.real
+    lmat[..., 0, 0] -= g1
+    lmat[..., 0, 3] += g2
+    lmat[..., 3, 0] += g1
+    lmat[..., 3, 3] -= g2
+    lmat[..., 1, 1] -= k1 + np.conj(k2)
+    lmat[..., 2, 2] -= np.conj(k1) + k2
+    return lmat
+
+
+def _ref_rk4_propagators(hmat, k1_tab, k2_tab, h):
+    lmat = h * _ref_liouvillian(hmat, k1_tab, k2_tab)
+    a, b, c = lmat[:-1:2], lmat[1::2], lmat[2::2]
+    s2 = b + 0.5 * (b @ a)
+    s3 = b + 0.5 * (b @ s2)
+    s4 = c + c @ s3
+    return np.eye(4, dtype=LD) + (a + 2.0 * s2 + 2.0 * s3 + s4) / 6.0
+
+
+def _ref_expm(lmat):
+    """Taylor series with scaling and squaring, in long double."""
+    squarings = max(0, int(np.ceil(np.log2(np.abs(lmat).sum(0).max()))) + 1)
+    lmat = lmat / 2.0**squarings
+    out = term = np.eye(4, dtype=LD)
+    for k in range(1, 30):
+        term = term @ lmat / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _ref_propagate(rho0, steps):
+    vecs = np.empty((len(steps) + 1, 4), dtype=LD)
+    vecs[0] = rho0.reshape(4)
+    for i, step in enumerate(steps):
+        vecs[i + 1] = step @ vecs[i]
+    return vecs.reshape(-1, 2, 2)
+
+
+def _reference_rhos(atom, density, rho0, t_max, n, traj):
+    hmat = _hamiltonian_over_hbar(atom)
+    if traj.mode == "markov":
+        step = _ref_expm((t_max / n) * _ref_liouvillian(hmat, traj.k1,
+                                                        traj.k2))
+        return _ref_propagate(rho0, np.broadcast_to(step, (n, 4, 4)))
+    taus = np.linspace(0.0, t_max, 2 * n + 1)
+    k1_tab, k2_tab = bath_correlations(density, atom.omega0,
+                                       taus).cumulative()
+    return _ref_propagate(
+        rho0, _ref_rk4_propagators(hmat, k1_tab, k2_tab, t_max / n))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    n=st.sampled_from([10, 11, 99, 100, 101, 2000]),
+    mode=st.sampled_from(["markov", "finite_memory"]),
+    detuning=st.floats(-0.9, 0.9),
+    rabi=st.floats(0.0, 2.0),
+    temperature=st.floats(0.1, 2.0),
+    lines=st.lists(st.tuples(st.floats(0.5, 3.0), st.floats(0.0, 0.1)),
+                   min_size=1, max_size=4),
+    scale=st.floats(0.5, 20.0),
+    t_max=st.floats(0.2, 2.0),
+    bloch=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, np.pi),
+                    st.floats(0.0, 2.0 * np.pi)),
+)
+def test_bloch_march_matches_complex_liouvillian_loop(
+        n, mode, detuning, rabi, temperature, lines, scale, t_max, bloch):
+    # steps of at most 0.05 keep h |A| well inside the RK4 stability
+    # region, where rounding is not amplified
+    t_max = min(t_max, 0.05 * n)
+    temp = ThermalState(temperature, Constants.natural())
+    if mode == "markov":
+        # a continuous thermal density: both Lindblad rates and both
+        # level shifts are nonzero
+        dens = SpectralDensity(
+            sampler=lambda w: scale * vacuum_sampler(w), omega_max=2.0,
+            temperature=temp)
+    else:
+        # discrete thermal lines: complex k1, k2 tables from the phase sum
+        lines = sorted(lines)
+        dens = SpectralDensity(omegas=np.array([w for w, _ in lines]),
+                               values=np.array([j for _, j in lines]),
+                               temperature=temp)
+    atom = make_atom(position=(0.0, 0.0, 0.0), dipole=(0.0, 0.0, 0.6),
+                     drive=Drive(omega_L=1.0 - detuning, rabi=rabi))
+    radius, theta, phi = bloch
+    eg = radius * np.sin(theta) * np.exp(1j * phi)
+    rho0 = np.array([[0.5 + radius * np.cos(theta), eg],
+                     [np.conj(eg), 0.5 - radius * np.cos(theta)]])
+    traj = evolve_master_equation(atom, dens, rho0, t_max, n, mode=mode,
+                                  max_refinements=0)
+    ref = _reference_rhos(atom, dens, rho0, t_max, n, traj)
+    assert traj.rhos.shape == ref.shape == (n + 1, 2, 2)
+    assert float(np.max(np.abs(traj.rhos - ref))) <= \
+        1e-13 * float(np.max(np.abs(ref)))
+
+
+def test_zero_rate_markov_steady_state_is_maximally_mixed(cube_modeset):
+    # accept09's cube, atom and T = 0 bath lines in markov mode: no line
+    # sits at omega0, so both rates vanish and only the level shift is
+    # left; the minimum-norm null state is the maximally mixed one
+    atom = make_atom()
+    dens = spectral_density_nmqed(cube_modeset, atom)
+    traj = evolve_master_equation(atom, dens, EXCITED, 5.0, 2000,
+                                  mode="markov")
+    assert traj.decay_rate == 0.0
+    assert np.max(np.abs(traj.steady_state() - 0.5 * np.eye(2))) <= 1e-12
+
+
+def test_master_run_is_bitwise_repeatable(tmp_path):
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                       "accept09.json")
+    with open(cfg) as fh:
+        name = json.load(fh)["name"]
+    outputs = []
+    for tag in ("first", "second"):
+        out = tmp_path / tag
+        assert cli_main(["master", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 0
+        outputs.append([(out / (name + suffix)).read_bytes()
+                        for suffix in ("_master.csv",
+                                       "_master_summary.json")])
+    assert outputs[0] == outputs[1]
