@@ -52,8 +52,6 @@ from .master import (
 )
 from .modes import (
     CavityGeometry,
-    ModeEntry,
-    ModeIndex,
     ModeSet,
     build_pec_box_modes,
     coupling_strengths,

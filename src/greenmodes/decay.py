@@ -88,9 +88,6 @@ class MemoryKernel:
         corr = bath_correlations(self.density, self.omega0, taus.ravel())
         return -corr.c_up.reshape(taus.shape)
 
-    def __call__(self, tau):
-        return complex(self.table(np.array([float(tau)]))[0])
-
 
 def _kernel(density, atom):
     return MemoryKernel(

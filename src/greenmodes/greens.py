@@ -248,6 +248,10 @@ class CavityModeSum:
         pairs = _mode_pairs(self.modeset, r, r)
         w = np.asarray(omega, dtype=float)[..., None]
         x = self.eta * w
-        lor = x / ((self.modeset.omegas**2 - w**2) ** 2 + x * x)
+        x2 = x * x
+        if not np.all(np.isfinite(x2)):
+            raise ValueError(
+                "eta = %g too large: (eta omega)^2 overflows" % self.eta)
+        lor = x / ((self.modeset.omegas**2 - w**2) ** 2 + x2)
         img = self.const.c**2 * (lor @ pairs)
         return img.reshape(w.shape[:-1] + (3, 3))

@@ -24,7 +24,7 @@ on the requested grid.
 Basis convention: index 0 is the excited state, index 1 the ground state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -200,24 +200,21 @@ def kernel_equivalence_check(discrete, continuous, taus):
     The discrete side must be a line density; the continuous side may
     itself be discrete when it was built through the analytic
     vanishing-softening path, in which case both transforms are plain
-    sums over the same line positions.
+    sums over the same line positions.  Each side is transformed by
+    bath_correlations at zero temperature and zero rotation.
     """
     if not discrete.is_discrete:
         raise ValueError("first argument must be a discrete density")
-    taus = np.asarray(taus, dtype=float)
-    s_disc = phase_sum(taus, discrete.omegas, discrete.values)
     if continuous.is_discrete:
         if continuous.omegas.shape != discrete.omegas.shape or not np.allclose(
                 continuous.omegas, discrete.omegas, rtol=1e-9, atol=0.0):
             raise ValueError("densities come from different mode data")
-        s_cont = phase_sum(taus, continuous.omegas, continuous.values)
-    else:
-        if continuous.omega_max <= discrete.omegas[-1]:
-            raise ValueError(
-                "continuous window ends below the highest discrete line")
-        s_cont = fourier_table(continuous.sampler, 0.0, continuous.omega_max,
-                               taus, rotation=0.0,
-                               edge_hints=continuous.edge_hints)
+    elif continuous.omega_max <= discrete.omegas[-1]:
+        raise ValueError(
+            "continuous window ends below the highest discrete line")
+    s_disc, s_cont = (
+        bath_correlations(replace(d, temperature=None), 0.0, taus).c_up
+        for d in (discrete, continuous))
     return float(np.max(np.abs(s_disc - s_cont)))
 
 

@@ -14,13 +14,12 @@ excluded.  Exactly one zero index leaves a single polarization branch
 closed-form normalization integral int eps_b |E|^2 = 1, so orthonormality
 is exact by construction and the overlap matrix needs no cubature.
 
-A ModeSet stores its modes as parallel arrays (index rows, frequencies,
-wavevectors, amplitudes); ModeEntry objects are views made on request.
+A ModeSet is its parallel arrays (index rows, frequencies, wavevectors,
+amplitudes): a mode is one row of them, and eval_all is the one place the
+mode functions above are evaluated.
 """
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -79,103 +78,31 @@ class CavityGeometry:
         return bool(np.all(r >= 0.0) and np.all(r <= self.lengths))
 
 
-@dataclass(frozen=True, order=True)
-class ModeIndex:
-    m: int
-    n: int
-    p: int
-    branch: int
-
-    def __post_init__(self):
-        if min(self.m, self.n, self.p) < 0:
-            raise ValueError("mode indices must be nonnegative")
-        if (self.m == 0) + (self.n == 0) + (self.p == 0) >= 2:
-            raise ValueError("two or more zero indices give a vanishing mode")
-        if self.branch not in (1, 2):
-            raise ValueError("branch must be 1 or 2")
-
-
-@dataclass(frozen=True)
-class ModeEntry:
-    """One eigenmode: index, frequency, wavevector and amplitude vector."""
-
-    index: ModeIndex
-    omega: float
-    kvec: np.ndarray
-    amplitude: np.ndarray
-    geometry: Optional[CavityGeometry] = None
-
-    def field(self, r):
-        """Mode function at r, shape (..., 3) in, (..., 3) out."""
-        r = np.asarray(r, dtype=float)
-        x, y, z = r[..., 0], r[..., 1], r[..., 2]
-        kx, ky, kz = self.kvec
-        ax, ay, az = self.amplitude
-        ex = ax * np.cos(kx * x) * np.sin(ky * y) * np.sin(kz * z)
-        ey = ay * np.sin(kx * x) * np.cos(ky * y) * np.sin(kz * z)
-        ez = az * np.sin(kx * x) * np.sin(ky * y) * np.cos(kz * z)
-        return np.stack([ex, ey, ez], axis=-1)
-
-
 class ModeSet:
-    """Immutable collection of box modes, stored as arrays.
+    """Immutable box modes as four parallel read-only arrays.
 
-    Modes are sorted ascending in omega with lexicographic
-    (m, n, p, branch) tie-breaking, so the ordering is deterministic for
-    degenerate shells.  The set keeps four parallel arrays: idx (n, 4)
-    integer (m, n, p, branch) rows, omegas (n,), the wavevectors (n, 3)
-    and the amplitude vectors (n, 3).  entries, indexing and iteration
-    hand out ModeEntry views built from those rows on demand; field
-    evaluation, subset and overlap work on the arrays directly.
+    idx (n, 4) holds integer (m, n, p, branch) rows, omegas (n,) the
+    frequencies, kvecs (n, 3) the wavevectors and amplitudes (n, 3) the
+    amplitude vectors; row i of each is mode i.  Rows are sorted
+    ascending in omega with lexicographic (m, n, p, branch)
+    tie-breaking, so the ordering is deterministic for degenerate
+    shells.
     """
 
-    def __init__(self, geometry, entries, n_max, const=None):
-        idx = [(e.index.m, e.index.n, e.index.p, e.index.branch)
-               for e in entries]
-        self._init(geometry, np.array(idx, dtype=np.int64).reshape(-1, 4),
-                   np.array([e.omega for e in entries], dtype=float),
-                   np.array([e.kvec for e in entries], dtype=float),
-                   np.array([e.amplitude for e in entries], dtype=float),
-                   n_max, const)
-
-    @classmethod
-    def _from_arrays(cls, geometry, idx, omegas, k, amp, n_max, const):
-        modeset = cls.__new__(cls)
-        modeset._init(geometry, idx, omegas, k, amp, n_max, const)
-        return modeset
-
-    def _init(self, geometry, idx, omegas, k, amp, n_max, const):
+    def __init__(self, geometry, idx, omegas, kvecs, amplitudes, const=None):
         if not len(omegas):
             raise ValueError("empty mode set")
         self.geometry = geometry
         self.const = const or Constants.natural()
-        self.n_max = n_max
         order = np.lexsort((idx[:, 3], idx[:, 2], idx[:, 1], idx[:, 0],
                             omegas))
-        self.idx, self.omegas, self._k, self._amp = (
-            a[order] for a in (idx, omegas, k, amp))
-        for a in (self.idx, self.omegas, self._k, self._amp):
+        self.idx, self.omegas, self.kvecs, self.amplitudes = (
+            a[order] for a in (idx, omegas, kvecs, amplitudes))
+        for a in (self.idx, self.omegas, self.kvecs, self.amplitudes):
             a.flags.writeable = False
-
-    def _entry(self, i):
-        m, n, p, branch = self.idx[i].tolist()
-        return ModeEntry(ModeIndex(m, n, p, branch), self.omegas[i],
-                         self._k[i], self._amp[i], self.geometry)
 
     def __len__(self):
         return len(self.omegas)
-
-    def __iter__(self):
-        return map(self._entry, range(len(self)))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._entry, range(len(self))[i]))
-        return self._entry(range(len(self))[i])
-
-    @cached_property
-    def entries(self):
-        return tuple(self)
 
     @property
     def omega_top(self):
@@ -183,23 +110,22 @@ class ModeSet:
 
     def subset(self, indices):
         sel = np.asarray(indices, dtype=np.int64).reshape(-1)
-        return ModeSet._from_arrays(self.geometry, self.idx[sel],
-                                    self.omegas[sel], self._k[sel],
-                                    self._amp[sel], self.n_max, self.const)
+        return ModeSet(self.geometry, self.idx[sel], self.omegas[sel],
+                       self.kvecs[sel], self.amplitudes[sel], self.const)
 
     def eval_all(self, r):
         """All mode fields at one point, shape (n_modes, 3)."""
         x, y, z = r3(r)
-        cx = np.cos(self._k[:, 0] * x)
-        sx = np.sin(self._k[:, 0] * x)
-        cy = np.cos(self._k[:, 1] * y)
-        sy = np.sin(self._k[:, 1] * y)
-        cz = np.cos(self._k[:, 2] * z)
-        sz = np.sin(self._k[:, 2] * z)
+        cx = np.cos(self.kvecs[:, 0] * x)
+        sx = np.sin(self.kvecs[:, 0] * x)
+        cy = np.cos(self.kvecs[:, 1] * y)
+        sy = np.sin(self.kvecs[:, 1] * y)
+        cz = np.cos(self.kvecs[:, 2] * z)
+        sz = np.sin(self.kvecs[:, 2] * z)
         out = np.empty((len(self), 3))
-        out[:, 0] = self._amp[:, 0] * cx * sy * sz
-        out[:, 1] = self._amp[:, 1] * sx * cy * sz
-        out[:, 2] = self._amp[:, 2] * sx * sy * cz
+        out[:, 0] = self.amplitudes[:, 0] * cx * sy * sz
+        out[:, 1] = self.amplitudes[:, 1] * sx * cy * sz
+        out[:, 2] = self.amplitudes[:, 2] * sx * sy * cz
         return out
 
     def overlap(self, i, j):
@@ -208,8 +134,8 @@ class ModeSet:
         if ti != self.idx[j, :3].tolist():
             return 0.0
         lengths = self.geometry.lengths
-        amp_i = self._amp[i]
-        amp_j = self._amp[j]
+        amp_i = self.amplitudes[i]
+        amp_j = self.amplitudes[j]
         total = 0.0
         for comp in range(3):
             w = 1.0
@@ -270,12 +196,12 @@ def build_pec_box_modes(geometry, n_max, const=None):
     branch = np.repeat([1, 1, 2], [len(amp0), len(kk), len(kk)])
     idx = np.column_stack([
         np.concatenate([mnp[one], mnp[~one], mnp[~one]]), branch])
-    return ModeSet._from_arrays(
+    return ModeSet(
         geometry, idx,
         np.concatenate([omega[one], omega[~one], omega[~one]]),
         np.concatenate([k[one], kk, kk]),
         np.concatenate([amp0, a1 * scale, a2 * scale]),
-        n_max, const)
+        const)
 
 
 def coupling_strengths(modeset, atom):

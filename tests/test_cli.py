@@ -58,18 +58,19 @@ def test_modes_csv_and_envelope(tmp_path):
     assert env["warnings"] == []
 
 
-def test_modes_listing_matches_entry_views(tmp_path):
-    # the listing is written from the mode arrays; it must equal, byte for
-    # byte, one written row by row from the ModeEntry views, so the order
-    # of every degenerate shell is the order of the mode set
+def test_modes_listing_matches_mode_rows(tmp_path):
+    # the listing is written column by column from the mode arrays; it
+    # must equal, byte for byte, one written row by row from idx and
+    # omegas, so the order of every degenerate shell is the order of the
+    # mode set
     cfg = write_scenario(tmp_path / "cube.json", cube_scenario(n_max=20))
     out = tmp_path / "out"
     assert run(["modes", "--config", cfg, "--out", out, "--quiet"]) == 0
     modeset = build_pec_box_modes(CavityGeometry(1.0, 1.0, 1.0), 20)
     want = "m,n,p,branch,omega\n" + "".join(
-        "%d,%d,%d,%d,%.17g\n" % (e.index.m, e.index.n, e.index.p,
-                                  e.index.branch, e.omega)
-        for e in modeset.entries)
+        "%d,%d,%d,%d,%.17g\n" % (m, n, p, branch, omega)
+        for (m, n, p, branch), omega in zip(modeset.idx.tolist(),
+                                            modeset.omegas.tolist()))
     assert (out / "cube_modes.csv").read_bytes() == want.encode()
 
 
@@ -356,6 +357,20 @@ def test_huge_conversion_eta_does_not_escape(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     report = json.loads((out / "p1-eta_report.json").read_text())["reports"][0]
     assert report["rel_residual"] == 1.0
+
+
+def test_ww_overflowing_cavity_eta_exits_schema(tmp_path, capsys):
+    # (eta omega)^2 overflows in the softened mode sum: a bad scenario,
+    # not a run that reports gamma = 0 with a population stuck at 1
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                       "accept02.json")
+    out = tmp_path / "out"
+    code = run(["ww", "--config", cfg, "--out", out, "--quiet",
+                "--set", "kernel.route=lna", "--set", "geometry.eta=1e200"])
+    err = _assert_error(code, cli.EXIT_SCHEMA, "schema", capsys)
+    assert err["error"]["type"] == "ValueError"
+    assert "eta" in err["error"]["message"]
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_non_finite_conversion_integrand_exits_numeric(tmp_path, capsys):

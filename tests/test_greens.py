@@ -176,6 +176,14 @@ def test_mode_sum_requires_eta_for_imaginary_part(cube_modeset):
         sharp.im_coincidence(np.array([0.4, 0.5, 0.6]), 5.0)
 
 
+def test_mode_sum_coincidence_overflowing_eta_raises(cube_modeset):
+    # (eta omega)^2 overflows a double: an error naming eta, not a
+    # Lorentzian silently rounded to zero
+    huge = CavityModeSum(cube_modeset, eta=1e200)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="eta"):
+        huge.im_coincidence(np.array([0.4, 0.5, 0.6]), np.array([2.0, 5.0]))
+
+
 def test_mode_sum_coincidence_passivity(cube_modeset):
     # softened mode sum: Im G(r, r, w) is PSD for every sampled frequency
     backend = CavityModeSum(cube_modeset, eta=1e-2)

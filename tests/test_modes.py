@@ -7,11 +7,24 @@ from greenmodes import (
     CavityGeometry,
     ConstantScalar,
     Constants,
-    ModeIndex,
     build_pec_box_modes,
     coupling_strengths,
 )
 from conftest import make_atom
+
+
+def mode_fields(kvecs, amplitudes, pts):
+    """Mode functions of every row at every point, shape (n_modes, n_pts,
+    3): the trigonometric patterns written out here, apart from
+    ModeSet.eval_all, which takes one point at a time."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    kx, ky, kz = kvecs.T[:, :, None]
+    ax, ay, az = amplitudes.T[:, :, None]
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    ex = ax * np.cos(kx * x) * np.sin(ky * y) * np.sin(kz * z)
+    ey = ay * np.sin(kx * x) * np.cos(ky * y) * np.sin(kz * z)
+    ez = az * np.sin(kx * x) * np.sin(ky * y) * np.cos(kz * z)
+    return np.stack([ex, ey, ez], axis=-1)
 
 
 def expected_count(n):
@@ -27,21 +40,32 @@ def test_mode_count_formula(n_max):
     assert len(ms) == expected_count(n_max)
 
 
-def test_mode_index_validation():
-    with pytest.raises(ValueError):
-        ModeIndex(0, 0, 1, 1)
-    with pytest.raises(ValueError):
-        ModeIndex(1, 1, 1, 3)
+def test_mode_index_validation(box_modeset, cube_modeset):
+    # every built row is a valid mode: no two zero indices, branch 1 or 2,
+    # no row twice, and a triple with one zero index has branch 1 only,
+    # polarized along the zero axis
+    for ms in (box_modeset, cube_modeset):
+        mnp, branch = ms.idx[:, :3], ms.idx[:, 3]
+        n_zero = np.count_nonzero(mnp == 0, axis=1)
+        assert np.all(mnp >= 0) and np.all(n_zero <= 1)
+        assert set(branch.tolist()) == {1, 2}
+        assert len(np.unique(ms.idx, axis=0)) == len(ms)
+        one = n_zero == 1
+        assert np.all(branch[one] == 1)
+        assert len(np.unique(mnp[one], axis=0)) == np.count_nonzero(one)
+        amp, zero_axis = ms.amplitudes[one], mnp[one] == 0
+        assert np.all(amp[~zero_axis] == 0.0) and np.all(amp[zero_axis] != 0.0)
 
 
 def test_frequencies_match_dispersion(box_modeset):
     geom = box_modeset.geometry
     c = box_modeset.const.c
-    for e in box_modeset.entries[::17]:
-        k = np.pi * np.array([e.index.m / geom.Lx, e.index.n / geom.Ly,
-                              e.index.p / geom.Lz])
-        assert abs(e.omega - c * np.linalg.norm(k)) < 1e-12 * e.omega
-        assert np.allclose(e.kvec, k)
+    for i in range(0, len(box_modeset), 17):
+        m, n, p, _ = box_modeset.idx[i]
+        k = np.pi * np.array([m / geom.Lx, n / geom.Ly, p / geom.Lz])
+        omega = box_modeset.omegas[i]
+        assert abs(omega - c * np.linalg.norm(k)) < 1e-12 * omega
+        assert np.allclose(box_modeset.kvecs[i], k)
 
 
 def test_length_scaling_inverse(box_modeset):
@@ -70,12 +94,12 @@ def test_lossy_background_rejected():
 
 def test_transversality_and_boundary(cube_modeset, rng):
     # div E = 0 pointwise (k . amplitude = 0) and tangential E = 0 on walls
-    for e in cube_modeset.entries[::41]:
-        assert abs(np.dot(e.kvec, e.amplitude)) < 1e-12 * np.linalg.norm(e.amplitude)
+    k, amp = cube_modeset.kvecs[::41], cube_modeset.amplitudes[::41]
+    assert np.all(np.abs(np.sum(k * amp, axis=1))
+                  < 1e-12 * np.linalg.norm(amp, axis=1))
     r_wall = np.array([0.0, 0.37, 0.62])  # x = 0 face: Ey = Ez = 0 there
-    for e in cube_modeset.entries[::53]:
-        f = e.field(r_wall)
-        assert abs(f[1]) < 1e-13 and abs(f[2]) < 1e-13
+    f = cube_modeset.eval_all(r_wall)[::53]
+    assert np.all(np.abs(f[:, 1:]) < 1e-13)
 
 
 def test_orthonormality_closed_form(cube_modeset):
@@ -97,27 +121,31 @@ def test_orthonormality_numerical_cubature(cube_modeset):
     pts = np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
     dv = 1.0 / n**3
     picks = [0, 1, 7, 100, 539]
-    fields = {i: cube_modeset.entries[i].field(pts) for i in picks}
-    for i in picks:
-        for j in picks:
-            val = np.sum(fields[i] * fields[j]) * dv
+    kvecs = cube_modeset.kvecs[picks]
+    amps = cube_modeset.amplitudes[picks]
+    # the reference formula is the one eval_all evaluates
+    for r in pts[::9973]:
+        assert np.allclose(mode_fields(kvecs, amps, r)[:, 0],
+                           cube_modeset.eval_all(r)[picks],
+                           rtol=0.0, atol=1e-14)
+    fields = mode_fields(kvecs, amps, pts)
+    gram = np.einsum("ipc,jpc->ij", fields, fields) * dv
+    for a, i in enumerate(picks):
+        for b, j in enumerate(picks):
             want = 1.0 if i == j else 0.0
-            assert abs(val - want) < 2e-3, (i, j, val)
+            assert abs(gram[a, b] - want) < 2e-3, (i, j, gram[a, b])
 
 
 def test_degenerate_shell_order_independence(cube_modeset):
-    # feeding a permuted entry list back in must give the same ordering and
-    # an orthonormal shell again
+    # feeding every row back in permuted must give the same ordering
     perm = list(range(len(cube_modeset)))
     rng = np.random.default_rng(7)
     rng.shuffle(perm)
     reordered = cube_modeset.subset(perm)
     assert np.array_equal(reordered.omegas, cube_modeset.omegas)
-    idx0 = [(e.index.m, e.index.n, e.index.p, e.index.branch)
-            for e in cube_modeset.entries]
-    idx1 = [(e.index.m, e.index.n, e.index.p, e.index.branch)
-            for e in reordered.entries]
-    assert idx0 == idx1
+    assert np.array_equal(reordered.idx, cube_modeset.idx)
+    assert np.array_equal(reordered.kvecs, cube_modeset.kvecs)
+    assert np.array_equal(reordered.amplitudes, cube_modeset.amplitudes)
 
 
 def reference_modes(geometry, n_max, c=1.0):
@@ -167,12 +195,11 @@ def test_vectorized_build_matches_reference_loop(lengths, eps_b, n_max):
     # bitwise: the order of degenerate shells depends on every omega bit
     assert np.array_equal(ms.idx, idx)
     assert np.array_equal(ms.omegas, omegas)
-    assert np.array_equal(np.array([e.kvec for e in ms]), kvecs)
-    got = np.array([e.amplitude for e in ms.entries])
-    assert np.all(np.abs(got - amps) <= np.spacing(np.abs(amps)))
-    e = ms[-1]
-    assert (e.index.m, e.index.n, e.index.p, e.index.branch) == tuple(idx[-1])
-    assert e.omega == omegas[-1] and e.geometry is geom
+    assert np.array_equal(ms.kvecs, kvecs)
+    assert np.all(np.abs(ms.amplitudes - amps) <= np.spacing(np.abs(amps)))
+    assert ms.geometry is geom
+    for a in (ms.idx, ms.omegas, ms.kvecs, ms.amplitudes):
+        assert not a.flags.writeable
 
     # a degenerate shell handed to subset in reverse comes back sorted,
     # and its closed-form overlap is still the identity
@@ -192,9 +219,10 @@ def test_coupling_strengths_vectorized(cube_modeset):
     assert np.all(w >= 0.0)
     c = Constants.natural()
     k = 33
-    e = cube_modeset.entries[k]
-    proj = float(np.dot(atom.dipole, e.field(atom.position)))
-    expect = e.omega * proj**2 / (2.0 * c.hbar * c.eps0)
+    field = mode_fields(cube_modeset.kvecs[k:k + 1],
+                        cube_modeset.amplitudes[k:k + 1], atom.position)
+    proj = float(np.dot(atom.dipole, field[0, 0]))
+    expect = cube_modeset.omegas[k] * proj**2 / (2.0 * c.hbar * c.eps0)
     assert abs(w[k] - expect) < 1e-13 * max(expect, 1e-30)
 
 
