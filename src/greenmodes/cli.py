@@ -668,14 +668,18 @@ def _validate_scenario(subcommand, scenario):
 # exception -> exit code, first match wins: a bad scenario (ValueError
 # covers malformed JSON, undecodable bytes and rejected parameters),
 # failed numerics (ConvergenceError, ResonanceError, march and master
-# failures are RuntimeErrors), failed I/O
+# failures are RuntimeErrors; an array numpy cannot allocate is a
+# MemoryError), failed I/O
 _EXIT_CODES = {SchemaError: EXIT_SCHEMA, RuntimeError: EXIT_NUMERIC,
-               ValueError: EXIT_SCHEMA, OSError: EXIT_IO}
+               MemoryError: EXIT_NUMERIC, ValueError: EXIT_SCHEMA,
+               OSError: EXIT_IO}
 
 
 def _error_payload(code, exc):
-    kind = {EXIT_SCHEMA: "schema", EXIT_NUMERIC: "convergence",
-            EXIT_IO: "io"}[code]
+    # an allocation failure shares exit 3 but is not a numerical one
+    kind = "memory" if isinstance(exc, MemoryError) else {
+        EXIT_SCHEMA: "schema", EXIT_NUMERIC: "convergence",
+        EXIT_IO: "io"}[code]
     return {"error": {"kind": kind, "type": type(exc).__name__,
                       "message": str(exc)}}
 

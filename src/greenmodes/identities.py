@@ -95,7 +95,12 @@ def _lorentzian_weights(omegas, eta, omega_max, spec):
 
     def f(t):
         w = lo + t[:, None] * width
-        return width * w**3 * eta / ((wk2 - w**2) ** 2 + eta * eta * w**2)
+        # where eta^2 w^2 is beyond float range the integrand, about
+        # w / eta, is far below rounding of the w_k / 2 it is compared
+        # with; the overflow to inf flushes it to 0 without a warning
+        with np.errstate(over="ignore"):
+            soft = eta * eta * w**2
+        return width * w**3 * eta / ((wk2 - w**2) ** 2 + soft)
 
     pieces, err = integrate_adaptive(f, 0.0, 1.0, spec)
     per_omega = np.bincount(owner, weights=pieces, minlength=len(omegas))

@@ -302,17 +302,15 @@ def markov_coefficients(density, omega_d, spec=None):
     j_d = float(density.value(omega_d)[0])
     n_d = float(thermal_occupation(omega_d, tstate.temperature, tstate.const))
 
-    def f_up(w):
-        return density.value(w) * (tstate.occupation(w) + 1.0) / (w - omega_d)
+    # up and down share the density samples: one two-component PV (at
+    # T = 0 the occupation is 0 and the down component is 0.0 exactly)
+    def f_updn(w):
+        n = tstate.occupation(w)
+        return (density.value(w)[:, None] * np.stack([n + 1.0, n], axis=1)
+                / (w - omega_d)[:, None])
 
-    s_up, _ = integrate_pv(f_up, omega_d, 0.0, density.omega_max, spec)
-    if tstate.temperature == 0.0:
-        s_dn = 0.0
-    else:
-        def f_dn(w):
-            return density.value(w) * tstate.occupation(w) / (w - omega_d)
-
-        s_dn, _ = integrate_pv(f_dn, omega_d, 0.0, density.omega_max, spec)
+    (s_up, s_dn), _ = integrate_pv(f_updn, omega_d, 0.0, density.omega_max,
+                                   spec)
 
     k1 = np.pi * j_d * (n_d + 1.0) - 1j * float(s_up)
     k2 = np.pi * j_d * n_d - 1j * float(s_dn)

@@ -217,10 +217,16 @@ def integrate_pv(f, pole, a, b, spec=None):
     """Cauchy principal value of f over [a, b] with a simple pole inside.
 
     f is the complete integrand including the singular factor.  Symmetric
-    excision at shrinking half-widths h, h/2, ..., h/16, with h the
-    smaller of spec.pv_excision and an eighth of the room to the nearer
-    end, leaves only odd powers of h in the error; three Richardson
-    stages remove the h, h^3 and h^5 terms.  Returns (value, error_bound).
+    excision at shrinking half-widths h_l = h_0 / 2^l, l = 0..4, with h_0
+    the smaller of spec.pv_excision and an eighth of the room to the
+    nearer end, leaves only odd powers of h in the error; three Richardson
+    stages remove the h, h^3 and h^5 terms.  The far region [a, pole - h_0]
+    and [pole + h_0, b] is integrated once; each finer level adds only the
+    two annuli [pole - h_{l-1}, pole - h_l] and [pole + h_l, pole + h_{l-1}]
+    to the level before it, one adaptive call per interval.  Returns
+    (value, error_bound); error_bound is the last Richardson difference
+    plus the sum of the ten intervals' G7-K15 estimates, so the far region
+    counts once.
     """
     spec = spec or QuadratureSpec()
     pole = float(pole)
@@ -228,13 +234,17 @@ def integrate_pv(f, pole, a, b, spec=None):
         raise ValueError("pole must lie strictly inside (a, b)")
     h0 = min(spec.pv_excision, min(pole - a, b - pole) / 8.0)
 
+    # level l adds [left[l], left[l+1]] and [right[l+1], right[l]]
+    left = [a] + [pole - h0 / 2**lvl for lvl in range(5)]
+    right = [b] + [pole + h0 / 2**lvl for lvl in range(5)]
     vals = []
+    total = 0.0
     errs = 0.0
     for lvl in range(5):
-        h = h0 / 2**lvl
-        vl, el = integrate_adaptive(f, a, pole - h, spec)
-        vr, er = integrate_adaptive(f, pole + h, b, spec)
-        vals.append(vl + vr)
+        vl, el = integrate_adaptive(f, left[lvl], left[lvl + 1], spec)
+        vr, er = integrate_adaptive(f, right[lvl + 1], right[lvl], spec)
+        total = total + (vl + vr)
+        vals.append(total)
         errs += el + er
     r1 = [2.0 * vals[i + 1] - vals[i] for i in range(4)]
     r2 = [(8.0 * r1[i + 1] - r1[i]) / 7.0 for i in range(3)]

@@ -387,6 +387,41 @@ def test_non_finite_conversion_integrand_exits_numeric(tmp_path, capsys):
     assert "not finite at x = " in err["error"]["message"]
 
 
+def test_overflowing_conversion_eta_reports_without_warning(tmp_path,
+                                                            capsys):
+    # eta^2 is finite but eta^2 w^2 overflows over the top of the range:
+    # the weights there are 0 to double precision, as for an eta whose
+    # square alone overflows, and the run reports so without a numpy
+    # overflow warning in its envelope
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                       "accept03.json")
+    out = tmp_path / "out"
+    code = run(["check-p1", "--config", cfg, "--out", out, "--quiet",
+                "--set", "conversion.eta=1e154"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    env = json.loads((out / "cube-conversion_envelope.json").read_text())
+    assert env["warnings"] == []
+    report = json.loads((out / "cube-conversion_report.json").read_text())
+    assert report["reports"][0]["rel_residual"] == 1.0
+
+
+def test_memory_error_exits_numeric(tmp_path, capsys, monkeypatch):
+    # an array numpy refuses to allocate: one JSON line of kind memory,
+    # exit 3
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 PiB for an array")
+
+    monkeypatch.setattr(cli, "build_pec_box_modes", refuse)
+    cfg = write_scenario(tmp_path / "cube.json", cube_scenario(name="oom"))
+    out = tmp_path / "out"
+    code = run(["modes", "--config", cfg, "--out", out, "--quiet"])
+    err = _assert_error(code, cli.EXIT_NUMERIC, "memory", capsys)
+    assert err["error"]["type"] == "MemoryError"
+    assert "Unable to allocate" in err["error"]["message"]
+    assert list(out.iterdir()) == []
+
+
 def test_ww_on_sommerfeld_backend_exits_schema(tmp_path, capsys):
     # the lna kernel needs a coincidence Im G, which the Sommerfeld
     # integral does not have: a bad scenario, not a numerical failure

@@ -146,6 +146,68 @@ def test_pv_odd_integrand_is_zero():
     assert abs(val) < 1e-10
 
 
+def _polynomial_pv(coef, c, a, b):
+    """PV int_a^b p(x)/(x - c) dx in closed form, p = sum coef[k] x^k:
+    with p(x) = sum d_k (x - c)^k, the regular part integrates term by
+    term and the pole contributes p(c) ln((b - c)/(c - a))."""
+    d = np.polynomial.Polynomial(coef)(np.polynomial.Polynomial([c, 1.0])).coef
+    k = np.arange(1, d.size)
+    regular = np.sum(d[1:] * ((b - c) ** k - (a - c) ** k) / k)
+    return regular + d[0] * np.log((b - c) / (c - a))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    coef=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=7),
+    a=st.floats(-3.0, 2.0),
+    width=st.floats(0.5, 5.0),
+    frac=st.floats(0.05, 0.95),
+)
+def test_pv_matches_closed_form_for_random_polynomials(coef, a, width, frac):
+    # for degree <= 6 the excised part holds only h, h^3 and h^5 terms,
+    # which the three Richardson stages remove exactly
+    b = a + width
+    c = a + frac * width
+    p = np.polynomial.Polynomial(coef)
+    val, err = integrate_pv(lambda x: p(x) / (x - c), c, a, b, TIGHT)
+    exact = _polynomial_pv(coef, c, a, b)
+    scale = np.max(np.abs(coef)) * max(1.0, abs(a), abs(b)) ** 6
+    assert abs(val - exact) <= 1e-12 * max(scale, abs(exact)) + 1e-12
+    assert err >= 0.0
+
+
+def test_pv_two_component_integrand_matches_closed_form():
+    c, a, b = 1.3, -0.7, 2.9
+    coefs = ([0.4, -1.1, 0.3, 2.0], [1.5, 0.0, -0.8, 0.1, 0.6, -0.2, 0.05])
+    polys = [np.polynomial.Polynomial(q) for q in coefs]
+    val, _ = integrate_pv(
+        lambda x: np.stack([p(x) for p in polys], axis=1) / (x - c)[:, None],
+        c, a, b, TIGHT)
+    assert val.shape == (2,)
+    for v, q in zip(val, coefs):
+        exact = _polynomial_pv(q, c, a, b)
+        assert abs(v - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_pv_samples_the_far_region_once():
+    # nodes farther than h0 from the pole come only from the two far
+    # intervals, as many as single adaptive calls on them evaluate
+    c, a, b = 1.37, 0.0, 4.0
+    h0 = min(TIGHT.pv_excision, min(c - a, b - c) / 8.0)
+    far = []
+
+    def f(x):
+        far.append(int(np.sum(np.abs(x - c) > h0)))
+        return np.exp(x / 3.0) / (x - c)
+
+    integrate_pv(f, c, a, b, TIGHT)
+    n_pv = sum(far)
+    far.clear()
+    integrate_adaptive(f, a, c - h0, TIGHT)
+    integrate_adaptive(f, c + h0, b, TIGHT)
+    assert n_pv == sum(far) > 0
+
+
 def test_pv_pole_outside_interval_raises():
     with pytest.raises(ValueError):
         integrate_pv(lambda x: 1.0 / (x - 5.0), 5.0, 0.0, 2.0, TIGHT)
