@@ -6,8 +6,9 @@ wrapped in an envelope that echoes the scenario for reproducibility.
 Floats in CSV carry 17 significant digits so identical scenarios produce
 byte-identical tables.
 
-Exit codes: 0 success, 2 schema or scenario error (nothing written),
-3 convergence failure, 4 I/O failure.
+Exit codes: 0 success, 2 schema or scenario error, 3 convergence
+failure, 4 I/O failure.  The scenario is checked against one schema table
+before any work, so a schema error writes nothing.
 """
 
 import argparse
@@ -47,16 +48,13 @@ EXIT_IO = 4
 
 OUT_ENV_VAR = "GREENMODES_OUT"
 
-SUBCOMMANDS = ("modes", "green", "check-p1", "check-magic", "check-surface",
-               "check-appendix", "ww", "master")
-
 
 class SchemaError(Exception):
     pass
 
 
 # ---------------------------------------------------------------------------
-# strict schema helpers
+# scenario schema: value checks, the table, validate
 
 
 def _require_dict(value, where):
@@ -65,32 +63,14 @@ def _require_dict(value, where):
     return value
 
 
-def _check_keys(block, where, allowed, required=()):
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise SchemaError("unknown key '%s' in %s" % (unknown[0], where))
-    for key in required:
-        if key not in block:
-            raise SchemaError("missing key '%s' in %s" % (key, where))
+_REQUIRED = object()  # default of a key that must be present
 
 
-_REQUIRED = object()  # default of a field that must be present
-
-
-def _field(check):
-    """Field reader read(block, key, where, default=_REQUIRED, **limits)
-    from a value check check(value, name, **limits): the value under
-    where.key is checked; an absent key gives default unchecked, or a
-    schema error when the default is _REQUIRED."""
-
-    def read(block, key, where, default=_REQUIRED, **limits):
-        if key not in block:
-            if default is _REQUIRED:
-                raise SchemaError("missing key '%s' in %s" % (key, where))
-            return default
-        return check(block[key], "%s.%s" % (where, key), **limits)
-
-    return read
+def _key(check, default=_REQUIRED, **limits):
+    """One schema entry: a value v given under where.key resolves to
+    check(v, "where.key", **limits); an absent key resolves to default,
+    put through the same check unless it is None."""
+    return check, default, limits
 
 
 def _number(v, name, minimum=None):
@@ -144,135 +124,222 @@ def _boolean(v, name):
     return v
 
 
-_float = _field(_number)
-_int = _field(_integer)
-_str = _field(_string)
-_num_list = _field(_numbers)
-_vec3 = _field(lambda v, name: _numbers(v, name, size=3))
-_vec3_list = _field(_vec3s)
-_bool = _field(_boolean)
-_object = _field(_require_dict)
+_NAME_CHARS = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.")
+
+
+def _name(v, name):
+    """The scenario name, which is also the stem of every output file."""
+    if not isinstance(v, str) or not v:
+        raise SchemaError("%s must be a non-empty string" % name)
+    if not _NAME_CHARS.issuperset(v):
+        raise SchemaError("%s may only contain [A-Za-z0-9._-]" % name)
+    return v
+
+
+def _eps_value(v, name):
+    """A constant permittivity, given as a number or as [re, im]."""
+    if isinstance(v, list) and len(v) == 2:
+        re, im = _numbers(v, name)
+        return complex(re, im)
+    return complex(_number(v, name))
+
+
+def _poles(v, name):
+    if not isinstance(v, list):
+        raise SchemaError("%s must be a list of [wp, w0, g]" % name)
+    return [_numbers(p, "%s[%d]" % (name, i), size=3) for i, p in enumerate(v)]
+
+
+def _resolve(block, where, schema):
+    """block checked against schema, a dict key -> _key(...), as a new
+    dict that holds every key of the schema.  A top-level block goes by
+    its own name in messages, not as scenario.<name>."""
+    where = where.removeprefix("scenario.")
+    block = _require_dict(block, where)
+    unknown = sorted(set(block) - set(schema))
+    if unknown:
+        raise SchemaError("unknown key '%s' in %s" % (unknown[0], where))
+    for key, (_, default, _) in schema.items():
+        if key not in block and default is _REQUIRED:
+            raise SchemaError("missing key '%s' in %s" % (key, where))
+    out = {}
+    for key, (check, default, limits) in schema.items():
+        value = block.get(key, default)
+        if key in block or value is not None:
+            value = check(value, "%s.%s" % (where, key), **limits)
+        out[key] = value
+    return out
+
+
+def _union(block, where, tag, variants):
+    """A block whose keys depend on its tag key: variants maps each value
+    of block[tag] to the schema of the whole block."""
+    where = where.removeprefix("scenario.")
+    block = _require_dict(block, where)
+    if tag not in block:
+        raise SchemaError("missing key '%s' in %s" % (tag, where))
+    kind = _string(block[tag], "%s.%s" % (where, tag), choices=variants)
+    return _resolve(block, where, variants[kind])
+
+
+_PERMITTIVITY = {"tag": "model", "variants": {
+    "constant": {"model": _key(_string), "value": _key(_eps_value)},
+    "drude_lorentz": {"model": _key(_string), "eps_inf": _key(_number, 1.0),
+                      "poles": _key(_poles, [])},
+}}
+
+_ROUTE = _key(_string, "lna", choices={"lna", "nmqed"})
+_VEC3 = _key(_numbers, size=3)
+
+# block -> _key(...), in the order validate checks them; a block's default
+# applies when its subcommand takes it without requiring it (_SUBCOMMANDS)
+_SCHEMA = {
+    "name": _key(_name),
+    "description": _key(_string, None),
+    "units": _key(_resolve, {}, schema={
+        "system": _key(_string, "natural", choices={"natural", "si"})}),
+    "quadrature": _key(_resolve, {}, schema={
+        "abs_tol": _key(_number, QuadratureSpec.abs_tol),
+        "rel_tol": _key(_number, QuadratureSpec.rel_tol),
+        "max_subdivisions": _key(_integer, QuadratureSpec.max_subdivisions,
+                                 minimum=1),
+        "omega_max": _key(_number, QuadratureSpec.omega_max),
+        "pv_excision": _key(_number, QuadratureSpec.pv_excision),
+        "eta": _key(_number, QuadratureSpec.eta)}),
+    "geometry": _key(_union, None, tag="type", variants={
+        "bulk": {"type": _key(_string),
+                 "permittivity": _key(_union, **_PERMITTIVITY)},
+        "pec_box": {"type": _key(_string), "lengths": _VEC3,
+                    "n_max": _key(_integer, minimum=1),
+                    "eta": _key(_number, 0.0),
+                    "permittivity": _key(_union, {"model": "constant",
+                                                  "value": 1.0},
+                                         **_PERMITTIVITY)}}),
+    # the choices and default of backend.type depend on the geometry
+    "backend": _key(_resolve, {}, schema={
+        "type": _key(_string, None),
+        "k_max_multiplier": _key(_number, 30.0)}),
+    "evaluation": _key(_resolve, schema={
+        "points": _key(_vec3s), "sources": _key(_vec3s),
+        "frequencies": _key(_numbers)}),
+    "atom": _key(_resolve, schema={
+        "position": _VEC3, "dipole": _VEC3,
+        "omega0": _key(_number, minimum=0.0),
+        "drive": _key(_resolve, None, schema={
+            "omega_L": _key(_number), "rabi": _key(_number, minimum=0.0)})}),
+    "kernel": _key(_resolve, {}, schema={
+        "route": _ROUTE, "omega_max": _key(_number, None, minimum=0.0),
+        "analytic_limit": _key(_boolean, False)}),
+    "time": _key(_resolve, {}, schema={
+        "t_max": _key(_number, minimum=0.0),
+        "n_steps": _key(_integer, minimum=10),
+        "fit_window": _key(_numbers, [0.35, 0.95])}),
+    "bath": _key(_resolve, {}, schema={
+        "route": _ROUTE, "omega_max": _key(_number, None, minimum=0.0),
+        "analytic_limit": _key(_boolean, False),
+        "temperature": _key(_number, 0.0, minimum=0.0)}),
+    "evolution": _key(_resolve, {}, schema={
+        "mode": _key(_string, "markov", choices={"markov", "finite_memory"}),
+        "t_max": _key(_number, minimum=0.0),
+        "n_steps": _key(_integer, minimum=10),
+        "tol": _key(_number, 1e-8),
+        "max_refinements": _key(_integer, 6, minimum=0)}),
+    "initial_state": _key(_resolve, {}, schema={
+        "rho_ee": _key(_number, 1.0), "rho_eg": _key(_numbers, [0.0, 0.0])}),
+    "conversion": _key(_resolve, {}, schema={
+        "r": _VEC3, "r0": _VEC3,
+        "eta": _key(_number, None, minimum=0.0),
+        "omega_max": _key(_number, None),
+        "lhs_path": _key(_string, "softened",
+                         choices={"softened", "analytic"})}),
+    "magic": _key(_resolve, {}, schema={
+        "r": _VEC3, "r0": _VEC3,
+        "omega": _key(_number, minimum=0.0), "deltas": _key(_numbers),
+        "eps_real": _key(_number, 1.0),
+        "exclusion_radius": _key(_number, None, minimum=0.0)}),
+    "surface": _key(_resolve, {}, schema={
+        "r": _VEC3, "r0": _VEC3,
+        "omega": _key(_number, minimum=0.0), "radii": _key(_numbers)}),
+    "appendix": _key(_resolve, {}, schema={
+        "r0": _VEC3, "offsets": _key(_vec3s),
+        "omega": _key(_number, minimum=0.0)}),
+}
+
+_COMMON = ("name", "description", "units", "quadrature", "geometry")
+
+# geometry type -> the backend.type choices, the first one the default
+_BACKENDS = {"bulk": ("closed_form", "sommerfeld"), "pec_box": ("mode_sum",)}
+
+
+def validate(subcommand, scenario):
+    """scenario checked against the schema of subcommand, as a new dict
+    with every default filled in.  scenario itself is left as given."""
+    _, takes, requires, expect = _SUBCOMMANDS[subcommand]
+    schema = {block: (check, _REQUIRED if block in requires else default,
+                      limits)
+              for block, (check, default, limits) in _SCHEMA.items()
+              if block in _COMMON or block in takes}
+    s = _resolve(scenario, "scenario", schema)
+    geometry = s["geometry"]
+    if (s.get("kernel") or s.get("bath") or {}).get("route") == "nmqed":
+        expect = "pec_box"
+    if expect is not None and geometry["type"] != expect:
+        raise SchemaError("geometry.type must be '%s' for this subcommand"
+                          % expect)
+    if "backend" in s:
+        choices = _BACKENDS[geometry["type"]]
+        if s["backend"]["type"] is None:
+            s["backend"]["type"] = choices[0]
+        _string(s["backend"]["type"], "backend.type", choices=choices)
+    if "time" in s:
+        window = s["time"]["fit_window"]
+        if len(window) != 2 or not 0.0 <= window[0] < window[1] <= 1.0:
+            raise SchemaError("time.fit_window must be [lo, hi] fractions "
+                              "in [0, 1]")
+    if "initial_state" in s and len(s["initial_state"]["rho_eg"]) != 2:
+        raise SchemaError("initial_state.rho_eg must be [re, im]")
+    if "evaluation" in s and (len(s["evaluation"]["points"])
+                              != len(s["evaluation"]["sources"])):
+        raise SchemaError("evaluation.points and evaluation.sources must "
+                          "have equal length")
+    return s
 
 
 # ---------------------------------------------------------------------------
-# scenario -> objects
+# resolved scenario -> objects
 
 
-def _build_constants(scenario):
-    block = _require_dict(scenario.get("units", {}), "units")
-    _check_keys(block, "units", allowed={"system"})
-    system = _str(block, "system", "units", default="natural",
-                  choices={"natural", "si"})
-    return Constants.si() if system == "si" else Constants.natural()
+def _permittivity(block):
+    if block["model"] == "constant":
+        return ConstantScalar(block["value"])
+    return DrudeLorentz(eps_inf=block["eps_inf"], poles=block["poles"])
 
 
-def _build_quadrature(scenario):
-    block = _require_dict(scenario.get("quadrature", {}), "quadrature")
-    allowed = {"abs_tol", "rel_tol", "max_subdivisions", "omega_max",
-               "pv_excision", "eta"}
-    _check_keys(block, "quadrature", allowed)
-    defaults = QuadratureSpec()
-    return QuadratureSpec(
-        abs_tol=_float(block, "abs_tol", "quadrature", defaults.abs_tol),
-        rel_tol=_float(block, "rel_tol", "quadrature", defaults.rel_tol),
-        max_subdivisions=_int(block, "max_subdivisions", "quadrature",
-                              defaults.max_subdivisions, minimum=1),
-        omega_max=_float(block, "omega_max", "quadrature", defaults.omega_max),
-        pv_excision=_float(block, "pv_excision", "quadrature",
-                           defaults.pv_excision),
-        eta=_float(block, "eta", "quadrature", defaults.eta),
-    )
+def _modeset(s, const):
+    g = s["geometry"]
+    geom = CavityGeometry(*g["lengths"],
+                          background=_permittivity(g["permittivity"]))
+    return build_pec_box_modes(geom, g["n_max"], const=const)
 
 
-def _build_permittivity(block, where):
-    block = _require_dict(block, where)
-    model = _str(block, "model", where, choices={"constant", "drude_lorentz"})
-    if model == "constant":
-        _check_keys(block, where, allowed={"model", "value"}, required=("value",))
-        v = block["value"]
-        if isinstance(v, list) and len(v) == 2:
-            v = _numbers(v, where + ".value")
-            return ConstantScalar(complex(v[0], v[1]))
-        return ConstantScalar(complex(_number(v, where + ".value")))
-    _check_keys(block, where, allowed={"model", "eps_inf", "poles"})
-    eps_inf = _float(block, "eps_inf", where, default=1.0)
-    poles = block.get("poles", [])
-    if not isinstance(poles, list):
-        raise SchemaError("%s.poles must be a list of [wp, w0, g]" % where)
-    parsed = [tuple(_numbers(p, "%s.poles[%d]" % (where, i), size=3))
-              for i, p in enumerate(poles)]
-    return DrudeLorentz(eps_inf=eps_inf, poles=parsed)
+def _green_backend(s, qspec, const):
+    g, backend = s["geometry"], s["backend"]
+    if g["type"] == "pec_box":
+        return CavityModeSum(_modeset(s, const), eta=g["eta"])
+    eps_model = _permittivity(g["permittivity"])
+    if backend["type"] == "closed_form":
+        return BulkClosedForm(eps_model, const=const)
+    return BulkSommerfeld(eps_model, spec=qspec,
+                          k_max_multiplier=backend["k_max_multiplier"],
+                          const=const)
 
 
-def _build_geometry(scenario, expect=None):
-    block = _object(scenario, "geometry", "scenario")
-    kind = _str(block, "type", "geometry", choices={"bulk", "pec_box"})
-    if expect is not None and kind != expect:
-        raise SchemaError("geometry.type must be '%s' for this subcommand" % expect)
-    if kind == "bulk":
-        _check_keys(block, "geometry", allowed={"type", "permittivity"},
-                    required=("permittivity",))
-        return "bulk", _build_permittivity(block["permittivity"],
-                                           "geometry.permittivity")
-    _check_keys(block, "geometry",
-                allowed={"type", "lengths", "n_max", "eta", "permittivity"},
-                required=("lengths", "n_max"))
-    lengths = _vec3(block, "lengths", "geometry")
-    n_max = _int(block, "n_max", "geometry", minimum=1)
-    eta = _float(block, "eta", "geometry", default=0.0)
-    if "permittivity" in block:
-        background = _build_permittivity(block["permittivity"],
-                                         "geometry.permittivity")
-    else:
-        background = ConstantScalar(1.0)
-    geom = CavityGeometry(lengths[0], lengths[1], lengths[2],
-                          background=background)
-    return "pec_box", (geom, n_max, eta)
-
-
-def _build_modeset(scenario, const):
-    _, (geom, n_max, _) = _build_geometry(scenario, expect="pec_box")
-    return build_pec_box_modes(geom, n_max, const=const)
-
-
-def _build_atom(scenario, const):
-    block = _object(scenario, "atom", "scenario")
-    _check_keys(block, "atom",
-                allowed={"position", "dipole", "omega0", "drive"},
-                required=("position", "dipole", "omega0"))
-    drive = None
-    if "drive" in block:
-        dblock = _require_dict(block["drive"], "atom.drive")
-        _check_keys(dblock, "atom.drive", allowed={"omega_L", "rabi"},
-                    required=("omega_L", "rabi"))
-        drive = Drive(omega_L=_float(dblock, "omega_L", "atom.drive"),
-                      rabi=_float(dblock, "rabi", "atom.drive", minimum=0.0))
-    return TwoLevelAtom(
-        position=_vec3(block, "position", "atom"),
-        dipole=_vec3(block, "dipole", "atom"),
-        omega0=_float(block, "omega0", "atom", minimum=0.0),
-        drive=drive,
-    )
-
-
-def _build_green_backend(scenario, qspec, const):
-    kind, payload = _build_geometry(scenario)
-    block = _require_dict(scenario.get("backend", {}), "backend")
-    _check_keys(block, "backend", allowed={"type", "k_max_multiplier"})
-    if kind == "bulk":
-        backend = _str(block, "type", "backend", default="closed_form",
-                       choices={"closed_form", "sommerfeld"})
-        eps_model = payload
-        if backend == "closed_form":
-            return BulkClosedForm(eps_model, const=const)
-        mult = _float(block, "k_max_multiplier", "backend", default=30.0)
-        return BulkSommerfeld(eps_model, spec=qspec, k_max_multiplier=mult,
-                              const=const)
-    backend = _str(block, "type", "backend", default="mode_sum",
-                   choices={"mode_sum"})
-    geom, n_max, eta = payload
-    modeset = build_pec_box_modes(geom, n_max, const=const)
-    return CavityModeSum(modeset, eta=eta)
+def _atom(s):
+    a = s["atom"]
+    return TwoLevelAtom(position=a["position"], dipole=a["dipole"],
+                        omega0=a["omega0"],
+                        drive=Drive(**a["drive"]) if a["drive"] else None)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +402,11 @@ def _write_json(path, payload):
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: scenario -> (files, summary)
+# subcommand runners: resolved scenario -> (files, summary)
 
 
-def _run_modes(scenario, qspec, const, outdir, fmt, stem):
-    modeset = _build_modeset(scenario, const)
+def _run_modes(s, qspec, const, outdir, fmt, stem):
+    modeset = _modeset(s, const)
     table = os.path.join(outdir, "%s_modes.%s" % (stem, fmt))
     _write_table(table, ("m", "n", "p", "branch", "omega"),
                  list(modeset.idx.T) + [modeset.omegas], fmt)
@@ -352,25 +419,16 @@ def _run_modes(scenario, qspec, const, outdir, fmt, stem):
     return [table], summary
 
 
-def _run_green(scenario, qspec, const, outdir, fmt, stem):
-    backend = _build_green_backend(scenario, qspec, const)
-    block = _object(scenario, "evaluation", "scenario")
-    _check_keys(block, "evaluation",
-                allowed={"points", "sources", "frequencies"},
-                required=("points", "sources", "frequencies"))
-    points = _vec3_list(block, "points", "evaluation")
-    sources = _vec3_list(block, "sources", "evaluation")
-    freqs = _num_list(block, "frequencies", "evaluation")
-    if len(points) != len(sources):
-        raise SchemaError("evaluation.points and evaluation.sources must have "
-                          "equal length")
+def _run_green(s, qspec, const, outdir, fmt, stem):
+    backend = _green_backend(s, qspec, const)
+    ev = s["evaluation"]
     comps = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
     columns = ["x", "y", "z", "x0", "y0", "z0", "omega"]
     for c in comps:
         columns += ["re_" + c, "im_" + c]
     rows = []
-    for w in freqs:
-        for r, r0 in zip(points, sources):
+    for w in ev["frequencies"]:
+        for r, r0 in zip(ev["points"], ev["sources"]):
             g = backend.evaluate(np.array(r), np.array(r0), w)
             row = list(r) + list(r0) + [w]
             for i in range(3):
@@ -382,124 +440,77 @@ def _run_green(scenario, qspec, const, outdir, fmt, stem):
     return [table], {"n_rows": len(rows), "backend": type(backend).__name__}
 
 
-def _run_check_p1(scenario, qspec, const, outdir, fmt, stem):
-    modeset = _build_modeset(scenario, const)
-    block = _require_dict(scenario.get("conversion", {}), "conversion")
-    _check_keys(block, "conversion",
-                allowed={"r", "r0", "eta", "omega_max", "lhs_path"},
-                required=("r", "r0"))
-    r = _vec3(block, "r", "conversion")
-    r0 = _vec3(block, "r0", "conversion")
-    eta = _float(block, "eta", "conversion", None, minimum=0.0)
-    omega_max = _float(block, "omega_max", "conversion", None)
-    path = _str(block, "lhs_path", "conversion", default="softened",
-                choices={"softened", "analytic"})
-    report = check_conversion_p1(modeset, np.array(r), np.array(r0),
-                                 spec=qspec, eta=eta, omega_max=omega_max,
-                                 lhs_path=path)
+def _run_check_p1(s, qspec, const, outdir, fmt, stem):
+    c = s["conversion"]
+    report = check_conversion_p1(_modeset(s, const), np.array(c["r"]),
+                                 np.array(c["r0"]), spec=qspec, eta=c["eta"],
+                                 omega_max=c["omega_max"],
+                                 lhs_path=c["lhs_path"])
     out = os.path.join(outdir, "%s_report.json" % stem)
     _write_json(out, {"reports": [_report_payload(report)]})
     return [out], {"rel_residual": report.rel_residual,
                    "abs_residual": report.abs_residual}
 
 
-def _run_check_magic(scenario, qspec, const, outdir, fmt, stem):
-    block = _require_dict(scenario.get("magic", {}), "magic")
-    _check_keys(block, "magic",
-                allowed={"r", "r0", "omega", "deltas", "eps_real",
-                         "exclusion_radius"},
-                required=("r", "r0", "omega", "deltas"))
-    r = np.array(_vec3(block, "r", "magic"))
-    r0 = np.array(_vec3(block, "r0", "magic"))
-    omega = _float(block, "omega", "magic", minimum=0.0)
-    deltas = _num_list(block, "deltas", "magic")
-    eps_real = _float(block, "eps_real", "magic", default=1.0)
-    excl = _float(block, "exclusion_radius", "magic", None, minimum=0.0)
+def _write_sweep(outdir, stem, tag, values, check):
+    """One report per swept value, check(value), each tagged with its
+    value under tag, written to one file; returns the file and the
+    relative residuals."""
     reports = []
-    for delta in deltas:
-        rep = check_magic_formula(ConstantScalar(complex(eps_real, delta)),
-                                  r, r0, omega, spec=qspec,
-                                  exclusion_radius=excl, const=const)
-        payload = _report_payload(rep)
-        payload["delta"] = delta
+    for value in values:
+        payload = _report_payload(check(value))
+        payload[tag] = value
         reports.append(payload)
     out = os.path.join(outdir, "%s_report.json" % stem)
     _write_json(out, {"reports": reports})
-    summary = {"deltas": deltas,
-               "rel_residuals": [r["rel_residual"] for r in reports]}
-    return [out], summary
+    return out, [r["rel_residual"] for r in reports]
 
 
-def _run_check_surface(scenario, qspec, const, outdir, fmt, stem):
-    kind, eps_model = _build_geometry(scenario, expect="bulk")
-    block = _require_dict(scenario.get("surface", {}), "surface")
-    _check_keys(block, "surface", allowed={"r", "r0", "omega", "radii"},
-                required=("r", "r0", "omega", "radii"))
-    r = np.array(_vec3(block, "r", "surface"))
-    r0 = np.array(_vec3(block, "r0", "surface"))
-    omega = _float(block, "omega", "surface", minimum=0.0)
-    radii = _num_list(block, "radii", "surface")
-    reports = []
-    for radius in radii:
-        rep = check_surface_term(eps_model, radius, r, r0, omega, spec=qspec,
-                                 const=const)
-        payload = _report_payload(rep)
-        payload["radius"] = radius
-        reports.append(payload)
-    out = os.path.join(outdir, "%s_report.json" % stem)
-    _write_json(out, {"reports": reports})
-    summary = {"radii": radii,
-               "rel_residuals": [r["rel_residual"] for r in reports]}
-    return [out], summary
+def _run_check_magic(s, qspec, const, outdir, fmt, stem):
+    m = s["magic"]
+    r, r0 = np.array(m["r"]), np.array(m["r0"])
+    out, residuals = _write_sweep(
+        outdir, stem, "delta", m["deltas"],
+        lambda delta: check_magic_formula(
+            ConstantScalar(complex(m["eps_real"], delta)), r, r0, m["omega"],
+            spec=qspec, exclusion_radius=m["exclusion_radius"], const=const))
+    return [out], {"deltas": m["deltas"], "rel_residuals": residuals}
 
 
-def _run_check_appendix(scenario, qspec, const, outdir, fmt, stem):
-    block = _require_dict(scenario.get("appendix", {}), "appendix")
-    _check_keys(block, "appendix", allowed={"r0", "offsets", "omega"},
-                required=("r0", "offsets", "omega"))
-    r0 = np.array(_vec3(block, "r0", "appendix"))
-    offsets = _vec3_list(block, "offsets", "appendix")
-    omega = _float(block, "omega", "appendix", minimum=0.0)
-    reports = []
-    for off in offsets:
-        rep = check_appendix_lossless_limit(r0 + np.array(off), r0, omega,
-                                            spec=qspec, const=const)
-        payload = _report_payload(rep)
-        payload["offset"] = off
-        reports.append(payload)
-    out = os.path.join(outdir, "%s_report.json" % stem)
-    _write_json(out, {"reports": reports})
-    summary = {"rel_residuals": [r["rel_residual"] for r in reports]}
-    return [out], summary
+def _run_check_surface(s, qspec, const, outdir, fmt, stem):
+    eps_model = _permittivity(s["geometry"]["permittivity"])
+    sf = s["surface"]
+    r, r0 = np.array(sf["r"]), np.array(sf["r0"])
+    out, residuals = _write_sweep(
+        outdir, stem, "radius", sf["radii"],
+        lambda radius: check_surface_term(eps_model, radius, r, r0,
+                                          sf["omega"], spec=qspec,
+                                          const=const))
+    return [out], {"radii": sf["radii"], "rel_residuals": residuals}
 
 
-def _build_ww_kernel(scenario, qspec, const, atom):
-    block = _require_dict(scenario.get("kernel", {}), "kernel")
-    _check_keys(block, "kernel",
-                allowed={"route", "omega_max", "analytic_limit"})
-    route = _str(block, "route", "kernel", default="lna",
-                 choices={"lna", "nmqed"})
-    if route == "nmqed":
-        return kernel_nmqed(_build_modeset(scenario, const), atom)
-    backend = _build_green_backend(scenario, qspec, const)
-    analytic = _bool(block, "analytic_limit", "kernel", default=False)
-    omega_max = _float(block, "omega_max", "kernel", None, minimum=0.0)
-    return kernel_lna(backend, atom, spec=qspec, omega_max=omega_max,
-                      analytic_limit=analytic)
+def _run_check_appendix(s, qspec, const, outdir, fmt, stem):
+    a = s["appendix"]
+    r0 = np.array(a["r0"])
+    out, residuals = _write_sweep(
+        outdir, stem, "offset", a["offsets"],
+        lambda off: check_appendix_lossless_limit(r0 + np.array(off), r0,
+                                                  a["omega"], spec=qspec,
+                                                  const=const))
+    return [out], {"rel_residuals": residuals}
 
 
-def _run_ww(scenario, qspec, const, outdir, fmt, stem):
-    atom = _build_atom(scenario, const)
-    kernel = _build_ww_kernel(scenario, qspec, const, atom)
-    tblock = _require_dict(scenario.get("time", {}), "time")
-    _check_keys(tblock, "time", allowed={"t_max", "n_steps", "fit_window"},
-                required=("t_max", "n_steps"))
-    t_max = _float(tblock, "t_max", "time", minimum=0.0)
-    n_steps = _int(tblock, "n_steps", "time", minimum=10)
-    window = _num_list(tblock, "fit_window", "time", [0.35, 0.95])
-    if len(window) != 2 or not 0.0 <= window[0] < window[1] <= 1.0:
-        raise SchemaError("time.fit_window must be [lo, hi] fractions in [0, 1]")
-    result = solve_volterra(kernel, t_max, n_steps, fit_window=tuple(window))
+def _run_ww(s, qspec, const, outdir, fmt, stem):
+    atom = _atom(s)
+    k, t = s["kernel"], s["time"]
+    if k["route"] == "nmqed":
+        kernel = kernel_nmqed(_modeset(s, const), atom)
+    else:
+        kernel = kernel_lna(_green_backend(s, qspec, const), atom, spec=qspec,
+                            omega_max=k["omega_max"],
+                            analytic_limit=k["analytic_limit"])
+    result = solve_volterra(kernel, t["t_max"], t["n_steps"],
+                            fit_window=tuple(t["fit_window"]))
     gamma, delta = markov_rate_and_shift(kernel, atom, qspec)
     table = os.path.join(outdir, "%s_ww.%s" % (stem, fmt))
     _write_table(table, ("t", "re_c", "im_c", "population"),
@@ -511,10 +522,10 @@ def _run_ww(scenario, qspec, const, outdir, fmt, stem):
         "delta_shift": delta,
         "fit_gamma": fit_gamma,
         "fit_shift": fit_shift,
-        "fit_window": window,
+        "fit_window": t["fit_window"],
         "provenance": kernel.provenance,
-        "t_max": t_max,
-        "n_steps": n_steps,
+        "t_max": t["t_max"],
+        "n_steps": t["n_steps"],
         "population_final": float(result.population[-1]),
         "march_error": result.march_error,
         "march_error_reason": result.march_error_reason,
@@ -524,51 +535,26 @@ def _run_ww(scenario, qspec, const, outdir, fmt, stem):
     return [table, summ], summary
 
 
-def _build_density(scenario, qspec, const, atom):
-    block = _require_dict(scenario.get("bath", {}), "bath")
-    _check_keys(block, "bath",
-                allowed={"route", "omega_max", "analytic_limit", "temperature"})
-    route = _str(block, "route", "bath", default="lna",
-                 choices={"lna", "nmqed"})
-    temperature = ThermalState(_float(block, "temperature", "bath", default=0.0,
-                                      minimum=0.0), const)
-    if route == "nmqed":
-        return spectral_density_nmqed(_build_modeset(scenario, const), atom,
-                                      temperature=temperature)
-    backend = _build_green_backend(scenario, qspec, const)
-    analytic = _bool(block, "analytic_limit", "bath", default=False)
-    omega_max = _float(block, "omega_max", "bath", None, minimum=0.0)
-    return spectral_density_lna(backend, atom, spec=qspec,
-                                omega_max=omega_max, temperature=temperature,
-                                analytic_limit=analytic)
-
-
-def _run_master(scenario, qspec, const, outdir, fmt, stem):
-    atom = _build_atom(scenario, const)
-    density = _build_density(scenario, qspec, const, atom)
-    block = _require_dict(scenario.get("evolution", {}), "evolution")
-    _check_keys(block, "evolution",
-                allowed={"mode", "t_max", "n_steps", "tol", "max_refinements"},
-                required=("t_max", "n_steps"))
-    mode = _str(block, "mode", "evolution", default="markov",
-                choices={"markov", "finite_memory"})
-    t_max = _float(block, "t_max", "evolution", minimum=0.0)
-    n_steps = _int(block, "n_steps", "evolution", minimum=10)
-    tol = _float(block, "tol", "evolution", default=1e-8)
-    max_ref = _int(block, "max_refinements", "evolution", default=6, minimum=0)
-
-    init = _require_dict(scenario.get("initial_state", {}), "initial_state")
-    _check_keys(init, "initial_state", allowed={"rho_ee", "rho_eg"})
-    p_ee = _float(init, "rho_ee", "initial_state", default=1.0)
-    coh = _num_list(init, "rho_eg", "initial_state", [0.0, 0.0])
-    if len(coh) != 2:
-        raise SchemaError("initial_state.rho_eg must be [re, im]")
-    rho0 = np.array([[p_ee, coh[0] + 1j * coh[1]],
-                     [coh[0] - 1j * coh[1], 1.0 - p_ee]], dtype=complex)
-
-    traj = evolve_master_equation(atom, density, rho0, t_max, n_steps,
-                                  mode=mode, spec=qspec, tol=tol,
-                                  max_refinements=max_ref)
+def _run_master(s, qspec, const, outdir, fmt, stem):
+    atom = _atom(s)
+    b, e, init = s["bath"], s["evolution"], s["initial_state"]
+    temperature = ThermalState(b["temperature"], const)
+    if b["route"] == "nmqed":
+        density = spectral_density_nmqed(_modeset(s, const), atom,
+                                         temperature=temperature)
+    else:
+        density = spectral_density_lna(_green_backend(s, qspec, const), atom,
+                                       spec=qspec, omega_max=b["omega_max"],
+                                       temperature=temperature,
+                                       analytic_limit=b["analytic_limit"])
+    p_ee, (coh_re, coh_im) = init["rho_ee"], init["rho_eg"]
+    rho0 = np.array([[p_ee, coh_re + 1j * coh_im],
+                     [coh_re - 1j * coh_im, 1.0 - p_ee]], dtype=complex)
+    mode = e["mode"]
+    traj = evolve_master_equation(atom, density, rho0, e["t_max"],
+                                  e["n_steps"], mode=mode, spec=qspec,
+                                  tol=e["tol"],
+                                  max_refinements=e["max_refinements"])
     table = os.path.join(outdir, "%s_master.%s" % (stem, fmt))
     _write_table(table, ("t", "rho_ee", "re_rho_eg", "im_rho_eg"),
                  (traj.times, traj.rho_ee, traj.rho_eg.real, traj.rho_eg.imag),
@@ -601,28 +587,21 @@ def _run_master(scenario, qspec, const, outdir, fmt, stem):
     return [table, summ], summary
 
 
-_RUNNERS = {
-    "modes": _run_modes,
-    "green": _run_green,
-    "check-p1": _run_check_p1,
-    "check-magic": _run_check_magic,
-    "check-surface": _run_check_surface,
-    "check-appendix": _run_check_appendix,
-    "ww": _run_ww,
-    "master": _run_master,
-}
-
-_COMMON_KEYS = {"name", "description", "units", "quadrature", "geometry"}
-_ALLOWED_TOP = {
-    "modes": _COMMON_KEYS,
-    "green": _COMMON_KEYS | {"backend", "evaluation"},
-    "check-p1": _COMMON_KEYS | {"conversion"},
-    "check-magic": _COMMON_KEYS | {"magic"},
-    "check-surface": _COMMON_KEYS | {"surface"},
-    "check-appendix": _COMMON_KEYS | {"appendix"},
-    "ww": _COMMON_KEYS | {"atom", "backend", "kernel", "time"},
-    "master": _COMMON_KEYS | {"atom", "backend", "bath", "evolution",
-                              "initial_state"},
+# subcommand -> (its runner, the blocks it takes besides _COMMON, the
+# blocks it requires, the geometry type it runs on; ww and master run on a
+# pec_box on the nmqed route)
+_SUBCOMMANDS = {
+    "modes": (_run_modes, (), ("geometry",), "pec_box"),
+    "green": (_run_green, ("backend", "evaluation"),
+              ("geometry", "evaluation"), None),
+    "check-p1": (_run_check_p1, ("conversion",), ("geometry",), "pec_box"),
+    "check-magic": (_run_check_magic, ("magic",), (), None),
+    "check-surface": (_run_check_surface, ("surface",), ("geometry",), "bulk"),
+    "check-appendix": (_run_check_appendix, ("appendix",), (), None),
+    "ww": (_run_ww, ("atom", "backend", "kernel", "time"),
+           ("geometry", "atom"), None),
+    "master": (_run_master, ("atom", "backend", "bath", "evolution",
+                             "initial_state"), ("geometry", "atom"), None),
 }
 
 
@@ -650,21 +629,6 @@ def _apply_override(scenario, assignment):
     node[keys[-1]] = value
 
 
-def _validate_scenario(subcommand, scenario):
-    _check_keys(scenario, "scenario", allowed=_ALLOWED_TOP[subcommand],
-                required=("name",))
-    name = scenario["name"]
-    if not isinstance(name, str) or not name:
-        raise SchemaError("scenario.name must be a non-empty string")
-    bad = set(name) - set(
-        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.")
-    if bad:
-        raise SchemaError("scenario.name may only contain [A-Za-z0-9._-]")
-    if "description" in scenario and not isinstance(scenario["description"], str):
-        raise SchemaError("scenario.description must be a string")
-    return name
-
-
 # exception -> exit code, first match wins: a bad scenario (ValueError
 # covers malformed JSON, undecodable bytes and rejected parameters),
 # failed numerics (ConvergenceError, ResonanceError, march and master
@@ -690,7 +654,7 @@ def main(argv=None):
         description="Scenario-driven checks and dynamics for the two "
                     "quantization routes of field-matter coupling.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="scenario JSON path")
     parser.add_argument("--out", default=None,
                         help="output directory (default: $%s or cwd)" % OUT_ENV_VAR)
@@ -708,16 +672,17 @@ def main(argv=None):
             scenario = _require_dict(json.loads(fh.read()), "scenario")
         for assignment in args.overrides:
             _apply_override(scenario, assignment)
-        name = _validate_scenario(args.subcommand, scenario)
-        const = _build_constants(scenario)
-        qspec = _build_quadrature(scenario)
+        s = validate(args.subcommand, scenario)
+        const = (Constants.si() if s["units"]["system"] == "si"
+                 else Constants.natural())
+        qspec = QuadratureSpec(**s["quadrature"])
 
         outdir = args.out or os.environ.get(OUT_ENV_VAR) or os.getcwd()
         os.makedirs(outdir, exist_ok=True)
         with _warnings.catch_warnings(record=True) as wrec:
             _warnings.simplefilter("always")
-            files, summary = _RUNNERS[args.subcommand](
-                scenario, qspec, const, outdir, args.format, name)
+            files, summary = _SUBCOMMANDS[args.subcommand][0](
+                s, qspec, const, outdir, args.format, s["name"])
             caught = ["%s: %s" % (type(w.message).__name__, w.message)
                       for w in wrec]
 
@@ -730,7 +695,8 @@ def main(argv=None):
             "warnings": caught,
             "summary": _jsonable(summary),
         }
-        _write_json(os.path.join(outdir, "%s_envelope.json" % name), envelope)
+        _write_json(os.path.join(outdir, "%s_envelope.json" % s["name"]),
+                    envelope)
     except tuple(_EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES.items()
                     if isinstance(exc, kind))

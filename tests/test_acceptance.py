@@ -101,7 +101,7 @@ def report(tag, ok, detail, elapsed, budget):
 def test_scenarios_validate_against_schema():
     for tag, (sub, _) in sorted(MANIFEST.items()):
         body = load_scenario(tag)
-        name = cli._validate_scenario(sub, body)
+        name = cli.validate(sub, body)["name"]
         assert name and " " not in name
     names = [load_scenario(t)["name"] for t in MANIFEST]
     assert len(set(names)) == len(names)

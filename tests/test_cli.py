@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from greenmodes import CavityGeometry, build_pec_box_modes, cli
 
@@ -459,3 +461,110 @@ def test_ww_divergent_estimate_is_null_with_reason(tmp_path):
     reason = summary["march_error_reason"]
     assert "2h volterra march diverged at step" in reason
     assert "\n" not in reason
+
+
+# bundled scenario -> the subcommand it is written for
+BUNDLED = {"accept01": "ww", "accept02": "ww", "accept03": "check-p1",
+           "accept04": "check-magic", "accept05": "green",
+           "accept06": "check-appendix", "accept07": "check-surface",
+           "accept08": "ww", "accept09": "master", "accept10": "modes"}
+
+
+def bundled(tag):
+    return os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        tag + ".json")
+
+
+def _assert_schema_error_without_work(code, capsys, calls, out):
+    """A SchemaError on one JSON line, raised before any subcommand ran
+    and before the output directory was made."""
+    err = _assert_error(code, cli.EXIT_SCHEMA, "schema", capsys)
+    assert err["error"]["type"] == "SchemaError"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tag, override", [
+    # a bad key in the last block master reads
+    ("accept09", "evolution.junk=1"),
+    ("accept02", "time.t_max=-1"),
+    # keys the scenario's route does not read
+    ("accept02", 'kernel.analytic_limit="yes"'),
+    ("accept02", "kernel.omega_max=-5"),
+    ("accept02", 'backend.type="bogus"'),
+    ("accept05", 'backend.k_max_multiplier="x"'),
+    ("accept04", "geometry.type=bogus"),
+], ids=["master-last-block", "ww-t_max", "nmqed-analytic_limit",
+        "nmqed-omega_max", "nmqed-backend-type", "closed-form-k_max",
+        "magic-geometry-type"])
+def test_schema_error_exits_before_any_work(tmp_path, capsys, monkeypatch,
+                                            tag, override):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_pec_box_modes(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_pec_box_modes", counting)
+    out = tmp_path / "never-created"
+    code = run([BUNDLED[tag], "--config", bundled(tag), "--out", out,
+                "--quiet", "--set", override])
+    _assert_schema_error_without_work(code, capsys, calls, out)
+
+
+def _schema_fields():
+    """(tag, block, key, check, limits) for every key of every block that
+    the subcommand of a bundled scenario takes; a tagged union contributes
+    the keys of the scenario's own variant."""
+    fields = []
+    for tag, sub in sorted(BUNDLED.items()):
+        with open(bundled(tag)) as fh:
+            body = json.load(fh)
+        for block in cli._COMMON + cli._SUBCOMMANDS[sub][1]:
+            check, _, limits = cli._SCHEMA[block]
+            if check is cli._resolve:
+                schema = limits["schema"]
+            elif check is cli._union and block in body:
+                schema = limits["variants"][body[block][limits["tag"]]]
+            else:
+                continue
+            for key, (key_check, _, key_limits) in schema.items():
+                fields.append((tag, block, key, key_check, key_limits))
+    return fields
+
+
+# one value of each JSON type, and the types each value check accepts
+JSON_VALUES = {"null": None, "bool": True, "int": 7, "float": 0.5, "str": "x",
+               "list": [], "object": {}}
+ACCEPTS = {cli._number: {"int", "float"}, cli._integer: {"int"},
+           cli._string: {"str"}, cli._boolean: {"bool"},
+           cli._numbers: {"list"}, cli._vec3s: {"list"}, cli._poles: {"list"},
+           cli._eps_value: {"int", "float", "list"}, cli._name: {"str"},
+           cli._resolve: {"object"}, cli._union: {"object"}}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(_schema_fields()), data=st.data())
+def test_malformed_override_exits_schema_before_any_work(
+        tmp_path, capsys, monkeypatch, field, data):
+    # only malformed values are drawn: a wrong JSON type, NaN where a
+    # number goes, or a number below the key's minimum
+    tag, block, key, check, limits = field
+    accepts = ACCEPTS[check]
+    bad = [json.dumps(v) for kind, v in JSON_VALUES.items()
+           if kind not in accepts]
+    if "float" in accepts:
+        bad.append("NaN")
+    if "minimum" in limits:
+        bad.append(json.dumps(limits["minimum"] - 1))
+    value = data.draw(st.sampled_from(bad))
+    calls = []
+    sub = BUNDLED[tag]
+    monkeypatch.setitem(cli._SUBCOMMANDS, sub,
+                        (lambda *args: calls.append(args),)
+                        + cli._SUBCOMMANDS[sub][1:])
+    out = tmp_path / "never-created"
+    code = run([sub, "--config", bundled(tag), "--out", out, "--quiet",
+                "--set", "%s.%s=%s" % (block, key, value)])
+    _assert_schema_error_without_work(code, capsys, calls, out)
