@@ -73,10 +73,11 @@ def _key(check, default=_REQUIRED, **limits):
     return check, default, limits
 
 
-def _number(v, name, minimum=None):
-    """v as a finite float.  json.loads accepts NaN and Infinity, so the
-    finiteness check is part of the schema; an integer beyond the float
-    range counts as infinite."""
+def _number(v, name, minimum=None, above=None):
+    """v as a finite float, at least minimum and more than above when
+    given.  json.loads accepts NaN and Infinity, so the finiteness check
+    is part of the schema; an integer beyond the float range counts as
+    infinite."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError("%s must be a number" % name)
     if not abs(v) <= sys.float_info.max:
@@ -84,6 +85,8 @@ def _number(v, name, minimum=None):
     v = float(v)
     if minimum is not None and v < minimum:
         raise SchemaError("%s must be >= %g" % (name, minimum))
+    if above is not None and not v > above:
+        raise SchemaError("%s must be > %g" % (name, above))
     return v
 
 
@@ -138,9 +141,13 @@ def _name(v, name):
 
 
 def _eps_value(v, name):
-    """A constant permittivity, given as a number or as [re, im]."""
+    """A constant permittivity, given as a number or as [re, im]; a gain
+    medium (im < 0) is refused."""
     if isinstance(v, list) and len(v) == 2:
         re, im = _numbers(v, name)
+        if im < 0.0:
+            raise SchemaError("%s: gain medium (Im eps < 0) not supported"
+                              % name)
         return complex(re, im)
     return complex(_number(v, name))
 
@@ -225,14 +232,14 @@ _SCHEMA = {
         "frequencies": _key(_numbers)}),
     "atom": _key(_resolve, schema={
         "position": _VEC3, "dipole": _VEC3,
-        "omega0": _key(_number, minimum=0.0),
+        "omega0": _key(_number, above=0.0),
         "drive": _key(_resolve, None, schema={
             "omega_L": _key(_number), "rabi": _key(_number, minimum=0.0)})}),
     "kernel": _key(_resolve, {}, schema={
         "route": _ROUTE, "omega_max": _key(_number, None, minimum=0.0),
         "analytic_limit": _key(_boolean, False)}),
     "time": _key(_resolve, {}, schema={
-        "t_max": _key(_number, minimum=0.0),
+        "t_max": _key(_number, above=0.0),
         "n_steps": _key(_integer, minimum=10),
         "fit_window": _key(_numbers, [0.35, 0.95])}),
     "bath": _key(_resolve, {}, schema={
@@ -241,7 +248,7 @@ _SCHEMA = {
         "temperature": _key(_number, 0.0, minimum=0.0)}),
     "evolution": _key(_resolve, {}, schema={
         "mode": _key(_string, "markov", choices={"markov", "finite_memory"}),
-        "t_max": _key(_number, minimum=0.0),
+        "t_max": _key(_number, above=0.0),
         "n_steps": _key(_integer, minimum=10),
         "tol": _key(_number, 1e-8),
         "max_refinements": _key(_integer, 6, minimum=0)}),
@@ -282,11 +289,17 @@ def validate(subcommand, scenario):
               if block in _COMMON or block in takes}
     s = _resolve(scenario, "scenario", schema)
     geometry = s["geometry"]
-    if (s.get("kernel") or s.get("bath") or {}).get("route") == "nmqed":
+    # ww reads kernel, master reads bath; the other subcommands neither
+    block = "kernel" if "kernel" in s else "bath"
+    coupling = s.get(block, {})
+    if coupling.get("route") == "nmqed":
         expect = "pec_box"
     if expect is not None and geometry["type"] != expect:
         raise SchemaError("geometry.type must be '%s' for this subcommand"
                           % expect)
+    if coupling.get("analytic_limit") and geometry["type"] != "pec_box":
+        raise SchemaError("%s.analytic_limit needs geometry.type 'pec_box'"
+                          % block)
     if "backend" in s:
         choices = _BACKENDS[geometry["type"]]
         if s["backend"]["type"] is None:

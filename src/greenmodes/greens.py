@@ -104,7 +104,10 @@ def _bessel_dyad(kpar, kperp, k, lateral, sign_z):
     alpha = kpar * lateral
     j0 = special.j0(alpha)
     j1 = special.j1(alpha)
-    j2 = special.jv(2, alpha)
+    # J2 by the recurrence 2 J1(x)/x - J0(x), several times cheaper than
+    # jv(2, x); 2 J1(x)/x -> 1 as x -> 0 (zero lateral separation)
+    j2 = np.divide(2.0 * j1, alpha, out=np.ones_like(j1),
+                   where=alpha != 0.0) - j0
     out = np.zeros(kpar.shape + (3, 3), dtype=complex)
     out[:, 0, 0] = np.pi * ((j0 + j2) + q**2 * (j0 - j2))
     out[:, 1, 1] = np.pi * ((j0 - j2) + q**2 * (j0 + j2))

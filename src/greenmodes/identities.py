@@ -17,11 +17,15 @@ purely in u = rho1 + rho2, so fixed-order panel Gauss rules converge fast
 and the cutoff in u is set by the absorption depth alone.  The weighted
 sum of G G^dagger over those nodes is never formed tensor by tensor:
 with G = a I + b e e^T it reduces to one scalar sum and three
-outer-product sums (_gg_dagger_sum).  In the far region a and b depend
-only on the two focal distances, which each ring of azimuthal nodes
-shares, so they are computed once per ring.  The volume check and the
-lossy surface check share one assembly of balls, far region and contact
-cross term (_volume_terms).
+outer-product sums (_gg_dagger_sum).  In the far region the azimuth
+about the separation axis is summed in closed form: on each ring of
+azimuthal nodes the two focal distances, so a, b and e_a . e_b, are
+fixed, and the outer products left are trigonometric polynomials of
+degree 2 in the azimuth, which the ring's 8-point trapezoid rule
+integrates exactly.  The far term is therefore three scalar sums over
+rings (_far_gg_dagger_sum), equal to the node-by-node sum to rounding.
+The volume check and the lossy surface check share one assembly of
+balls, far region and contact cross term (_volume_terms).
 """
 
 from dataclasses import dataclass, field
@@ -197,16 +201,6 @@ def _ball_rule(radius):
     return pts.reshape(-1, 3), wts.reshape(-1).copy()
 
 
-def _orthonormal_frame(dhat):
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(dhat @ ref) > 0.9:
-        ref = np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(ref, dhat)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(dhat, e1)
-    return e1, e2
-
-
 def _u_panel_edges(d, a, im_k, u_cap=None):
     """u = rho1 + rho2 panel edges: geometric growth from the ball scale,
     then linear steps of 4 / Im k out to the absorption cutoff."""
@@ -228,65 +222,41 @@ def _u_panel_edges(d, a, im_k, u_cap=None):
     return np.array(edges)
 
 
-def _far_region_nodes(d_vec, a, im_k, u_cap=None):
-    """Quadrature nodes/weights for the region outside both balls, and
-    the distances rho1 = |s|, rho2 = |s - d_vec| of each ring of n_phi
-    consecutive nodes (orders _FAR_ORDERS).
+def _far_region_nodes(d, a, im_k, u_cap=None):
+    """Rings of the quadrature for the region outside both balls, for
+    foci at 0 and d_vec with d = |d_vec| (orders _FAR_ORDERS).
 
-    Prolate spheroidal parametrization with foci at 0 and d_vec:
-    rho1 = (d/2)(cosh mu + sin chi), rho2 = (d/2)(cosh mu - sin chi);
-    the corner panel mu in [0, mu_a] carries the chi limit
-    |sin chi| <= cosh mu - 2a/d that excises the two balls.  The
-    azimuth phi about d_vec varies fastest, and neither distance
-    depends on it.
+    Prolate spheroidal parametrization: rho1 = (d/2)(cosh mu + sin chi),
+    rho2 = (d/2)(cosh mu - sin chi); the corner panel mu in [0, mu_a]
+    carries the chi limit |sin chi| <= cosh mu - 2a/d that excises the
+    two balls.  Each (mu, chi) node is a ring of n_phi azimuthal nodes
+    about d_vec, s = s_axis dhat + s_perp (cos phi e1 + sin phi e2) for
+    any orthonormal e1, e2 across dhat, on which neither distance
+    depends; no point is built.  Returns
+    (s_axis, s_perp, rho1, rho2, w) per ring, w the weight of the whole
+    ring (2 pi times the (mu, chi) weight).
     """
-    n_mu, n_chi, n_phi = _FAR_ORDERS
-    d = float(np.linalg.norm(d_vec))
-    dhat = np.asarray(d_vec) / d
-    e1, e2 = _orthonormal_frame(dhat)
+    n_mu, n_chi, _ = _FAR_ORDERS
     t = 2.0 * a / d
     mu_a = float(np.arccosh(1.0 + t))
-
     xg, wg = gauss_legendre(n_mu)
     xgc, wgc = gauss_legendre(n_chi)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * np.pi / n_phi
 
-    mu_list = []
-    wmu_list = []
-    chi_lo = []
-    chi_hi = []
-
-    # corner panels: ball-limited chi range
-    for lo, hi in ((0.0, 0.5 * mu_a), (0.5 * mu_a, mu_a)):
-        mu = lo + 0.5 * (hi - lo) * (xg + 1.0)
-        wmu = 0.5 * (hi - lo) * wg
-        cm = np.arcsin(np.clip(np.cosh(mu) - t, -1.0, 1.0))
-        mu_list.append(mu)
-        wmu_list.append(wmu)
-        chi_lo.append(-cm)
-        chi_hi.append(cm)
-
-    # decay panels: full chi range, u-spaced edges
+    # mu panels: two corner panels on [0, mu_a], whose chi range the balls
+    # limit, then decay panels over the full chi range at u-spaced edges
     u_edges = _u_panel_edges(d, a, im_k, u_cap)
-    for lo_u, hi_u in zip(u_edges[:-1], u_edges[1:]):
-        lo = float(np.arccosh(lo_u / d))
-        hi = float(np.arccosh(hi_u / d))
-        mu = lo + 0.5 * (hi - lo) * (xg + 1.0)
-        wmu = 0.5 * (hi - lo) * wg
-        mu_list.append(mu)
-        wmu_list.append(wmu)
-        chi_lo.append(np.full(n_mu, -0.5 * np.pi))
-        chi_hi.append(np.full(n_mu, 0.5 * np.pi))
+    edges = np.concatenate(([0.0, 0.5 * mu_a, mu_a],
+                            np.arccosh(u_edges[1:] / d)))
+    half = 0.5 * np.diff(edges)[:, None]
+    mu = (edges[:-1, None] + half * (xg + 1.0)).ravel()
+    wmu = (half * wg).ravel()
+    chi_max = np.full(mu.size, 0.5 * np.pi)
+    corner = slice(0, 2 * n_mu)
+    chi_max[corner] = np.arcsin(np.clip(np.cosh(mu[corner]) - t, -1.0, 1.0))
 
-    mu = np.concatenate(mu_list)
-    wmu = np.concatenate(wmu_list)
-    clo = np.concatenate(chi_lo)
-    chi_half = 0.5 * (np.concatenate(chi_hi) - clo)
-
-    # chi nodes per mu node: shape (n_nodes_mu, n_chi)
-    chi = clo[:, None] + chi_half[:, None] * (xgc[None, :] + 1.0)
-    wchi = chi_half[:, None] * wgc[None, :]
+    # chi nodes per mu node, symmetric about 0: shape (mu.size, n_chi)
+    chi = chi_max[:, None] * xgc
+    wchi = chi_max[:, None] * wgc
 
     ch = np.cosh(mu)[:, None]
     sh = np.sinh(mu)[:, None]
@@ -297,35 +267,44 @@ def _far_region_nodes(d_vec, a, im_k, u_cap=None):
     s_axis = 0.5 * d * (1.0 + ch * sc)
     s_perp = 0.5 * d * sh * cc
     jac = 0.5 * d * rho1 * rho2 * sh * cc
+    w = 2.0 * np.pi * wmu[:, None] * wchi * jac
+    return tuple(x.ravel() for x in (s_axis, s_perp, rho1, rho2, w))
 
-    base_w = (wmu[:, None] * wchi * jac).ravel()
-    s_axis = s_axis.ravel()
-    s_perp = s_perp.ravel()
 
-    pts = (
-        s_axis[:, None, None] * dhat[None, None, :]
-        + s_perp[:, None, None] * (
-            np.cos(phi)[None, :, None] * e1[None, None, :]
-            + np.sin(phi)[None, :, None] * e2[None, None, :]
-        )
-    )
-    wts = np.repeat(base_w[:, None] * w_phi, n_phi, axis=0).reshape(-1)
-    return pts.reshape(-1, 3), wts, rho1.ravel(), rho2.ravel()
+def _far_gg_dagger_sum(d_vec, a, k, u_cap=None):
+    """sum_i w_i G(d_vec - s_i) G(s_i)^dagger over the far-region rule of
+    _far_region_nodes, and the rule's node count, with the azimuth summed
+    in closed form.
+
+    On a ring, G(d - s) and G(s) have fixed coefficients (a2, b2) and
+    (a1, b1), e_a . e_b = (d s_axis - rho1^2) / (rho1 rho2) is fixed, and
+    with P = dhat dhat^T, Q = I - P the trapezoid mean over phi gives
+    s s^T -> s_axis^2 P + s_perp^2 Q / 2,
+    (d - s)(d - s)^T -> (d - s_axis)^2 P + s_perp^2 Q / 2 and
+    (d - s) s^T -> (d - s_axis) s_axis P - s_perp^2 Q / 2 exactly, these
+    being degree-2 trigonometric polynomials in phi.  The four terms of
+    _gg_dagger_sum then add up to S_0 I + S_P P + S_Q Q.
+    """
+    d = float(np.linalg.norm(d_vec))
+    s_axis, s_perp, rho1, rho2, w = _far_region_nodes(d, a, k.imag, u_cap)
+    a1, b1 = (np.conj(x) for x in _green_coefficients(rho1, k))
+    a2, b2 = _green_coefficients(rho2, k)
+    s_rest = d - s_axis
+    t_b = w * a2 * b1 / rho1**2
+    t_a = w * b2 * a1 / rho2**2
+    t_ab = w * b2 * b1 * (d * s_axis - rho1**2) / (rho1 * rho2) ** 2
+    s_0 = np.sum(w * a2 * a1)
+    s_p = np.sum(t_b * s_axis**2 + t_a * s_rest**2 + t_ab * s_rest * s_axis)
+    s_q = 0.5 * np.sum(s_perp**2 * (t_b + t_a - t_ab))
+    proj = np.outer(d_vec, d_vec) / d**2
+    return (s_0 * I3 + s_p * proj + s_q * (I3 - proj),
+            w.size * _FAR_ORDERS[2])
 
 
 def _outer_sum(u, c, v):
     """sum_i c_i u_i v_i^T for real rows u, v (N, 3) and complex c (N,),
     as two real (3, N) @ (N, 3) products."""
     return (u.T * c.real) @ v + 1j * ((u.T * c.imag) @ v)
-
-
-def _ring_factors(disp, rho, k):
-    """_green_factors for displacement rows grouped in rings of equal
-    length: rho holds one length per ring of disp.shape[0] // rho.size
-    consecutive rows, so a and b are computed once per ring."""
-    a, b = _green_coefficients(rho, k)
-    a, b, rho = (np.repeat(x, disp.shape[0] // rho.size) for x in (a, b, rho))
-    return a, b, disp / rho[:, None]
 
 
 def _gg_dagger_sum(factors_a, factors_b, weights):
@@ -356,9 +335,12 @@ def _volume_terms(r, r0, omega, eps, const, u_cap=None):
 
     volume is the regular part over all space: a ball around each of
     the two singular points plus the prolate-spheroidal far region,
-    truncated at u = rho1 + rho2 <= u_cap when given.  cross is the
-    closed-form cross term between the regular part and the symbolic
-    contact delta, and g_d = G(r, r0).  The identity's lhs is
+    truncated at u = rho1 + rho2 <= u_cap when given.  The balls are
+    summed node by node; the far region's azimuth is summed in closed
+    form, which is exact for its trapezoid rule (_far_gg_dagger_sum), and
+    n_far_nodes counts the nodes of that rule.  cross is the closed-form
+    cross term between the regular part and the symbolic contact delta,
+    and g_d = G(r, r0).  The identity's lhs is
     (w^2 Im eps / c^2) (volume + cross).
     """
     k = wavenumber(omega, eps, const)
@@ -370,13 +352,10 @@ def _volume_terms(r, r0, omega, eps, const, u_cap=None):
     near0 = _gg_dagger_sum(_green_factors(d_vec - ball_pts, k), g_u, ball_wts)
     # ball around s = r: s - r0 = d + u, and G(-u) = G(u)
     near_d = _gg_dagger_sum(g_u, _green_factors(d_vec + ball_pts, k), ball_wts)
-    far_pts, far_wts, rho1, rho2 = _far_region_nodes(d_vec, a, k.imag,
-                                                     u_cap=u_cap)
-    far = _gg_dagger_sum(_ring_factors(d_vec - far_pts, rho2, k),
-                         _ring_factors(far_pts, rho1, k), far_wts)
+    far, n_far = _far_gg_dagger_sum(d_vec, a, k, u_cap)
     g_d = bulk_green(r, r0, omega, eps, const)
     cross = -dagger(g_d) / (3.0 * k**2) - g_d / (3.0 * np.conj(k**2))
-    return near0 + near_d + far, cross, g_d, a, far_wts.size
+    return near0 + near_d + far, cross, g_d, a, n_far
 
 
 def check_magic_formula(eps_model, r, r0, omega, spec=None,

@@ -316,6 +316,24 @@ def test_accept_surface_term(tmp_path):
     assert elapsed <= budget
 
 
+@pytest.mark.parametrize("subcommand, tag, overrides", [
+    ("check-magic", "accept04", []),
+    ("green", "accept05", ["backend.type=sommerfeld"]),
+    ("check-appendix", "accept06", []),
+    ("check-surface", "accept07", ["geometry.permittivity.value=[1.0,0.5]",
+                                   "surface.radii=[20.581710272714922]"]),
+], ids=["accept04", "accept05-sommerfeld", "accept06", "accept07-lossy"])
+def test_volume_and_bessel_kernels_raise_no_fp_exception(
+        tmp_path, subcommand, tag, overrides):
+    # the far-region ring sums divide by rho1 rho2 and the Bessel dyad by
+    # k_par times the lateral distance, which is 0 on accept06's axis
+    args = [subcommand, "--config", scenario_path(tag), "--out", str(tmp_path)]
+    for override in overrides:
+        args += ["--set", override]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        run_cli(args)
+
+
 # ---------------------------------------------------------------------------
 # 8: integrator order and closed-form oracles
 

@@ -494,9 +494,16 @@ def _assert_schema_error_without_work(code, capsys, calls, out):
     ("accept02", 'backend.type="bogus"'),
     ("accept05", 'backend.k_max_multiplier="x"'),
     ("accept04", "geometry.type=bogus"),
+    # values the library would refuse only after cli.main made --out
+    ("accept02", "time.t_max=0"),
+    ("accept02", "atom.omega0=0"),
+    ("accept09", "evolution.t_max=0"),
+    ("accept05", "geometry.permittivity.value=[1,-1]"),
+    ("accept01", "kernel.analytic_limit=true"),
 ], ids=["master-last-block", "ww-t_max", "nmqed-analytic_limit",
         "nmqed-omega_max", "nmqed-backend-type", "closed-form-k_max",
-        "magic-geometry-type"])
+        "magic-geometry-type", "ww-t_max-zero", "omega0-zero",
+        "master-t_max-zero", "gain-medium", "bulk-kernel-analytic_limit"])
 def test_schema_error_exits_before_any_work(tmp_path, capsys, monkeypatch,
                                             tag, override):
     calls = []
@@ -510,6 +517,21 @@ def test_schema_error_exits_before_any_work(tmp_path, capsys, monkeypatch,
     code = run([BUNDLED[tag], "--config", bundled(tag), "--out", out,
                 "--quiet", "--set", override])
     _assert_schema_error_without_work(code, capsys, calls, out)
+
+
+def test_bath_analytic_limit_on_bulk_exits_schema_before_any_work(
+        tmp_path, capsys):
+    # the analytic limit needs a cavity mode sum; the library would refuse
+    # it only after cli.main made --out
+    out = tmp_path / "never-created"
+    code = run(["master", "--config", bundled("accept09"), "--out", out,
+                "--quiet", "--set", 'geometry={"type": "bulk", "permittivity":'
+                ' {"model": "constant", "value": 1.0}}',
+                "--set", "bath.route=lna", "--set", "bath.analytic_limit=true"])
+    err = _assert_error(code, cli.EXIT_SCHEMA, "schema", capsys)
+    assert err["error"]["type"] == "SchemaError"
+    assert "bath.analytic_limit" in err["error"]["message"]
+    assert not out.exists()
 
 
 def _schema_fields():
@@ -549,7 +571,8 @@ ACCEPTS = {cli._number: {"int", "float"}, cli._integer: {"int"},
 def test_malformed_override_exits_schema_before_any_work(
         tmp_path, capsys, monkeypatch, field, data):
     # only malformed values are drawn: a wrong JSON type, NaN where a
-    # number goes, or a number below the key's minimum
+    # number goes, or a number below the key's minimum or at its
+    # exclusive lower bound
     tag, block, key, check, limits = field
     accepts = ACCEPTS[check]
     bad = [json.dumps(v) for kind, v in JSON_VALUES.items()
@@ -558,6 +581,8 @@ def test_malformed_override_exits_schema_before_any_work(
         bad.append("NaN")
     if "minimum" in limits:
         bad.append(json.dumps(limits["minimum"] - 1))
+    if "above" in limits:
+        bad.append(json.dumps(limits["above"]))
     value = data.draw(st.sampled_from(bad))
     calls = []
     sub = BUNDLED[tag]

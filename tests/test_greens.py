@@ -8,6 +8,7 @@ central second differences (h = 2e-4), accurate to ~1e-9 relative.
 
 import numpy as np
 import pytest
+from scipy import special
 
 from greenmodes import (
     BulkClosedForm,
@@ -22,6 +23,7 @@ from greenmodes import (
     im_green_coincidence,
     wavenumber,
 )
+from greenmodes.greens import _bessel_dyad
 
 SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=4000)
 
@@ -239,3 +241,16 @@ def test_mode_sum_outside_box_raises(cube_modeset):
     backend = CavityModeSum(cube_modeset, eta=1e-3)
     with pytest.raises(ValueError):
         backend.evaluate(np.array([1.2, 0.5, 0.5]), np.array([0.5, 0.5, 0.5]), 5.0)
+
+
+def test_bessel_dyad_j2_matches_jv():
+    # with k_perp = 0 the xx and yy entries are pi (J0 + J2) and
+    # pi (J0 - J2), so J2 is their half difference over pi; alpha = 0 is
+    # zero lateral separation, where J2 must be exactly 0
+    rng = np.random.default_rng(2)
+    alpha = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(0.0, 500.0, 5001),
+                            rng.uniform(0.0, 500.0, 20000)])
+    dyad = _bessel_dyad(alpha, np.zeros_like(alpha), 1.0, 1.0, 1.0)
+    j2 = (dyad[:, 0, 0] - dyad[:, 1, 1]).real / (2.0 * np.pi)
+    assert j2[0] == 0.0
+    assert np.max(np.abs(j2 - special.jv(2, alpha))) <= 2e-15

@@ -18,7 +18,12 @@ from greenmodes import (
     check_surface_term,
 )
 from greenmodes.greens import _bulk_green_batch, _green_factors
-from greenmodes.identities import _gg_dagger_sum, _lorentzian_weights
+from greenmodes.identities import (
+    _far_gg_dagger_sum,
+    _far_region_nodes,
+    _gg_dagger_sum,
+    _lorentzian_weights,
+)
 
 SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, max_subdivisions=4000)
 
@@ -195,6 +200,50 @@ def test_factored_volume_sum_matches_dense_product(n, re_k, im_k, spread,
         scale = np.sum(w * np.max(np.abs(g_a), axis=(1, 2))
                        * np.max(np.abs(g_b), axis=(1, 2)))
         assert np.max(np.abs(got - dense)) <= 1e-13 * scale
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    re_k=st.floats(0.05, 6.0),
+    im_k=st.floats(0.02, 3.0),
+    ball=st.floats(0.01, 0.45),
+    cap=st.one_of(st.none(), st.floats(0.0, 1.2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_far_sum_closed_form_matches_node_sum(re_k, im_k, ball, cap, seed):
+    # the reference turns each ring's (s_axis, s_perp) through the 8
+    # azimuth nodes about d_vec and sums w G(d - s) G(s)^dagger node by
+    # node; the closed-form azimuth sum must agree to rounding of the terms
+    rng = np.random.default_rng(seed)
+    d_vec = rng.normal(size=3) * rng.uniform(0.2, 3.0)
+    d = float(np.linalg.norm(d_vec))
+    a = ball * d
+    k = complex(re_k, im_k)
+    u_cap = None if cap is None else d + 2.0 * a + cap * 18.42 / im_k
+    got, n_nodes = _far_gg_dagger_sum(d_vec, a, k, u_cap)
+
+    s_axis, s_perp, rho1, rho2, w = _far_region_nodes(d, a, im_k, u_cap)
+    dhat = d_vec / d
+    e1 = np.cross(dhat, rng.normal(size=3))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(dhat, e1)
+    phi = 2.0 * np.pi * np.arange(8) / 8
+    ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+    pts = (s_axis[:, None, None] * dhat
+           + s_perp[:, None, None] * ring[None]).reshape(-1, 3)
+    wts = np.repeat(w / 8, 8)
+    assert n_nodes == wts.size
+    np.testing.assert_allclose(np.linalg.norm(pts, axis=1),
+                               np.repeat(rho1, 8), rtol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(d_vec - pts, axis=1),
+                               np.repeat(rho2, 8), rtol=1e-12)
+    ref = _gg_dagger_sum(_green_factors(d_vec - pts, k),
+                         _green_factors(pts, k), wts)
+    scale = np.sum(wts
+                   * np.max(np.abs(_bulk_green_batch(d_vec - pts, k)),
+                            axis=(1, 2))
+                   * np.max(np.abs(_bulk_green_batch(pts, k)), axis=(1, 2)))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
 # -- surface closure -------------------------------------------------------
