@@ -106,13 +106,14 @@ def _string(v, name, choices=None):
     return v
 
 
-def _numbers(v, name, size=None):
+def _numbers(v, name, size=None, **limits):
     """A list of numbers as floats: exactly size of them, or at least one
-    when size is None."""
+    when size is None; limits apply to each, as in _number."""
     if not isinstance(v, list) or not v or size not in (None, len(v)):
         raise SchemaError("%s must be a list of %s numbers"
                           % (name, size or "one or more"))
-    return [_number(x, "%s[%d]" % (name, i)) for i, x in enumerate(v)]
+    return [_number(x, "%s[%d]" % (name, i), **limits)
+            for i, x in enumerate(v)]
 
 
 def _vec3s(v, name):
@@ -142,14 +143,16 @@ def _name(v, name):
 
 def _eps_value(v, name):
     """A constant permittivity, given as a number or as [re, im]; a gain
-    medium (im < 0) is refused."""
+    medium (im < 0) and the singular eps = 0 are refused."""
     if isinstance(v, list) and len(v) == 2:
         re, im = _numbers(v, name)
-        if im < 0.0:
-            raise SchemaError("%s: gain medium (Im eps < 0) not supported"
-                              % name)
-        return complex(re, im)
-    return complex(_number(v, name))
+    else:
+        re, im = _number(v, name), 0.0
+    if im < 0.0:
+        raise SchemaError("%s: gain medium (Im eps < 0) not supported" % name)
+    if re == im == 0.0:
+        raise SchemaError("%s: eps = 0 is singular" % name)
+    return complex(re, im)
 
 
 def _poles(v, name):
@@ -262,15 +265,17 @@ _SCHEMA = {
                          choices={"softened", "analytic"})}),
     "magic": _key(_resolve, {}, schema={
         "r": _VEC3, "r0": _VEC3,
-        "omega": _key(_number, minimum=0.0), "deltas": _key(_numbers),
+        "omega": _key(_number, above=0.0),
+        # Im eps of each swept medium: the identity needs absorption
+        "deltas": _key(_numbers, above=0.0),
         "eps_real": _key(_number, 1.0),
         "exclusion_radius": _key(_number, None, minimum=0.0)}),
     "surface": _key(_resolve, {}, schema={
         "r": _VEC3, "r0": _VEC3,
-        "omega": _key(_number, minimum=0.0), "radii": _key(_numbers)}),
+        "omega": _key(_number, above=0.0), "radii": _key(_numbers)}),
     "appendix": _key(_resolve, {}, schema={
         "r0": _VEC3, "offsets": _key(_vec3s),
-        "omega": _key(_number, minimum=0.0)}),
+        "omega": _key(_number, above=0.0)}),
 }
 
 _COMMON = ("name", "description", "units", "quadrature", "geometry")
@@ -294,6 +299,10 @@ def validate(subcommand, scenario):
     coupling = s.get(block, {})
     if coupling.get("route") == "nmqed":
         expect = "pec_box"
+        for key, unset in (("omega_max", None), ("analytic_limit", False)):
+            if coupling[key] is not unset:
+                raise SchemaError("%s.%s applies to route 'lna' only"
+                                  % (block, key))
     if expect is not None and geometry["type"] != expect:
         raise SchemaError("geometry.type must be '%s' for this subcommand"
                           % expect)

@@ -18,7 +18,7 @@ and const; the closed form and the mode sum also have im_coincidence.
 import numpy as np
 
 from .constants import Constants
-from .numerics import QuadratureSpec, sommerfeld_radial
+from .numerics import QuadratureSpec, merge_lines, sommerfeld_radial
 from .tensors import I3, r3
 
 
@@ -177,10 +177,10 @@ def cavity_green(r, r0, omega, modeset, eta=0.0):
     """
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
-    pairs = _mode_pairs(modeset, r, r0)
+    lines, pairs = _mode_pairs(modeset, r, r0)
     omega = np.asarray(omega, dtype=float)
     w = omega[..., None]
-    denom = modeset.omegas**2 - w**2 - 1j * eta * w
+    denom = lines**2 - w**2 - 1j * eta * w
     if eta == 0.0 and np.any(
             np.min(np.abs(denom), axis=-1) <= 1e-12 * omega**2):
         raise ResonanceError(
@@ -191,13 +191,16 @@ def cavity_green(r, r0, omega, modeset, eta=0.0):
 
 
 def _mode_pairs(modeset, r, r0):
-    """E_k(r) E_k(r0)^T for every mode, flattened to shape (M, 9)."""
+    """(lines, pairs): the distinct mode frequencies and the sum of
+    E_k(r) E_k(r0)^T over the modes of each, flattened to (len(lines), 9);
+    degenerate modes share one resonance denominator (merge_lines)."""
     geom = modeset.geometry
     if not (geom.contains(r) and geom.contains(r0)):
         raise ValueError("points must lie inside the cavity")
     fr = modeset.eval_all(r)
     f0 = fr if np.array_equal(r3(r), r3(r0)) else modeset.eval_all(r0)
-    return (fr[:, :, None] * f0[:, None, :]).reshape(len(fr), 9)
+    return merge_lines(modeset.omegas,
+                       (fr[:, :, None] * f0[:, None, :]).reshape(len(fr), 9))
 
 
 class BulkClosedForm:
@@ -243,18 +246,19 @@ class CavityModeSum:
         return cavity_green(r, r0, omega, self.modeset, self.eta)
 
     def im_coincidence(self, r, omega):
-        """c^2 L @ (E E^T), L = eta w / ((w_k^2 - w^2)^2 + eta^2 w^2)."""
+        """c^2 L @ (E E^T), L = eta w / ((w_k^2 - w^2)^2 + eta^2 w^2),
+        one Lorentzian row per distinct mode frequency."""
         if self.eta == 0.0:
             raise ValueError(
                 "mode-sum Im G at coincidence needs eta > 0 (discrete poles)"
             )
-        pairs = _mode_pairs(self.modeset, r, r)
+        lines, pairs = _mode_pairs(self.modeset, r, r)
         w = np.asarray(omega, dtype=float)[..., None]
         x = self.eta * w
         x2 = x * x
         if not np.all(np.isfinite(x2)):
             raise ValueError(
                 "eta = %g too large: (eta omega)^2 overflows" % self.eta)
-        lor = x / ((self.modeset.omegas**2 - w**2) ** 2 + x2)
+        lor = x / ((lines**2 - w**2) ** 2 + x2)
         img = self.const.c**2 * (lor @ pairs)
         return img.reshape(w.shape[:-1] + (3, 3))

@@ -6,10 +6,11 @@ whose coefficients are time integrals of two bath correlators,
     C_up(tau) = S[ J(w) (n(w)+1) exp(-i (w - w_d) tau) ],
     C_dn(tau) = S[ J(w)  n(w)    exp(-i (w - w_d) tau) ],
 
-with S either a mode sum (discrete density) or a frequency integral
-(continuous density) and w_d the transition frequency.  The same
-SpectralDensity at T = 0 is the weight behind the decay module's memory
-kernel, D(tau) = -C_up(tau) at w_d = omega0.
+with S either a mode sum (discrete density; lines at equal frequencies
+share one exponential row) or a frequency integral (continuous density)
+and w_d the transition frequency.  The same SpectralDensity at T = 0 is
+the weight behind the decay module's memory kernel, D(tau) = -C_up(tau)
+at w_d = omega0.
 
 Both shipped modes act through one real generator A(k1, k2) on the
 Bloch vector x = (rho_ee, Re rho_eg, Im rho_eg, 1), so every step map is
@@ -247,7 +248,8 @@ class BathCorrelations:
 def bath_correlations(density, omega_d, taus):
     """Correlator tables for a density at transition frequency omega_d.
 
-    Both channels go through one phase sum.  At T = 0 the downward
+    Both channels go through one phase sum, which transforms a discrete
+    density's equal-frequency lines as one.  At T = 0 the downward
     channel is identically zero and is not transformed.
     """
     taus = np.asarray(taus, dtype=float)

@@ -344,7 +344,8 @@ def phase_sum(taus, nu, weights, block=4096):
     """exp(-i outer(taus, nu)) @ weights, factored on uniform delay grids.
 
     weights holds one value per frequency in nu, or one row of a few
-    columns (e.g. two bath channels sharing the phase matrix).
+    columns (e.g. two bath channels sharing the phase matrix).  Lines at
+    equal frequencies share one exponential row (merge_lines).
 
     The delays are split as tau_{qB+r} = base_q + off_r + delta_{qB+r}
     with base_q = tau_{qB}, off_r = tau_r - tau_0 and B = ceil(sqrt(n)),
@@ -363,7 +364,8 @@ def phase_sum(taus, nu, weights, block=4096):
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     nu = np.asarray(nu, dtype=float)
-    cols = np.asarray(weights, dtype=complex).reshape(nu.size, -1)
+    nu, cols = merge_lines(
+        nu, np.asarray(weights, dtype=complex).reshape(nu.size, -1))
     k = cols.shape[1]
     base, off, delta = _delay_split(taus.ravel(), nu)
     n_off = off.size
@@ -380,6 +382,20 @@ def phase_sum(taus, nu, weights, block=4096):
     out = out[:taus.size]
     out = out[:, :k] - 1j * delta[:, None] * out[:, k:]
     return out.reshape(taus.shape + np.shape(weights)[1:])
+
+
+def merge_lines(nu, rows):
+    """(distinct nu, rows summed per distinct nu in their given order), or
+    nu and rows as given when no two frequencies are equal."""
+    lines, group = np.unique(nu, return_inverse=True)
+    if lines.size == nu.size:
+        return nu, rows
+    out = np.zeros((lines.size,) + rows.shape[1:], dtype=rows.dtype)
+    # on flat indices: numpy's add.at is ~3x faster in one dimension
+    k = out[0].size
+    np.add.at(out.reshape(-1), (group[:, None] * k + np.arange(k)).ravel(),
+              rows.reshape(-1))
+    return lines, out
 
 
 def _delay_split(taus, nu):

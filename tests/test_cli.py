@@ -500,21 +500,31 @@ def _assert_schema_error_without_work(code, capsys, calls, out):
     ("accept09", "evolution.t_max=0"),
     ("accept05", "geometry.permittivity.value=[1,-1]"),
     ("accept01", "kernel.analytic_limit=true"),
+    ("accept04", "magic.deltas=[0.1,0.0]"),
+    ("accept04", "magic.deltas=[-0.1]"),
+    ("accept04", "magic.omega=0"),
+    ("accept05", "geometry.permittivity.value=0"),
+    ("accept07", "surface.omega=0"),
+    ("accept06", "appendix.omega=0"),
+    # valid values that the nmqed route would ignore
+    ("accept02", "kernel.analytic_limit=true"),
+    ("accept09", "bath.omega_max=3"),
 ], ids=["master-last-block", "ww-t_max", "nmqed-analytic_limit",
         "nmqed-omega_max", "nmqed-backend-type", "closed-form-k_max",
         "magic-geometry-type", "ww-t_max-zero", "omega0-zero",
-        "master-t_max-zero", "gain-medium", "bulk-kernel-analytic_limit"])
+        "master-t_max-zero", "gain-medium", "bulk-kernel-analytic_limit",
+        "magic-lossless-delta", "magic-gain-delta", "magic-omega-zero",
+        "eps-zero", "surface-omega-zero", "appendix-omega-zero",
+        "nmqed-kernel-analytic_limit-true", "nmqed-bath-omega_max"])
 def test_schema_error_exits_before_any_work(tmp_path, capsys, monkeypatch,
                                             tag, override):
     calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build_pec_box_modes(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "build_pec_box_modes", counting)
+    sub = BUNDLED[tag]
+    monkeypatch.setitem(cli._SUBCOMMANDS, sub,
+                        (lambda *args: calls.append(args),)
+                        + cli._SUBCOMMANDS[sub][1:])
     out = tmp_path / "never-created"
-    code = run([BUNDLED[tag], "--config", bundled(tag), "--out", out,
+    code = run([sub, "--config", bundled(tag), "--out", out,
                 "--quiet", "--set", override])
     _assert_schema_error_without_work(code, capsys, calls, out)
 

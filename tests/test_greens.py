@@ -237,6 +237,39 @@ def test_cavity_green_function_wrapper(cube_modeset):
     assert np.array_equal(g1, g2)
 
 
+@pytest.mark.parametrize("fixture", ["cube_modeset", "box_modeset"])
+def test_mode_sum_matches_per_mode_reference(fixture, request):
+    # degenerate modes share one denominator: the merged lines must give
+    # the plain per-mode sum c^2 (1 / denom_k) @ (E_k E_k^T) to rounding;
+    # both sides round sums of up to 540 terms, about sqrt(540) eps of
+    # the absolute sum, so the bound is 32 eps of it
+    modeset = request.getfixturevalue(fixture)
+    assert np.unique(modeset.omegas).size < len(modeset)
+    r = np.array([0.31, 0.62, 0.44])
+    r0 = np.array([0.52, 0.38, 0.57])
+    omegas = np.linspace(2.1, 0.9 * modeset.omega_top, 23)
+
+    def per_mode(a, b, lines):
+        pairs = (modeset.eval_all(a)[:, :, None]
+                 * modeset.eval_all(b)[:, None, :]).reshape(-1, 9)
+        terms = modeset.const.c**2 * (lines @ pairs)
+        scale = modeset.const.c**2 * (np.abs(lines) @ np.abs(pairs))
+        return terms.reshape(-1, 3, 3), scale.reshape(-1, 3, 3)
+
+    eps = np.finfo(float).eps
+    w = omegas[:, None]
+    for eta in (0.0, 1e-3):
+        want, scale = per_mode(
+            r, r0, 1.0 / (modeset.omegas**2 - w**2 - 1j * eta * w))
+        got = cavity_green(r, r0, omegas, modeset, eta=eta)
+        assert np.all(np.abs(got - want) <= 32.0 * eps * scale)
+    eta = 1e-2
+    x = eta * w
+    want, scale = per_mode(r, r, x / ((modeset.omegas**2 - w**2) ** 2 + x * x))
+    got = CavityModeSum(modeset, eta=eta).im_coincidence(r, omegas)
+    assert np.all(np.abs(got - want) <= 32.0 * eps * scale)
+
+
 def test_mode_sum_outside_box_raises(cube_modeset):
     backend = CavityModeSum(cube_modeset, eta=1e-3)
     with pytest.raises(ValueError):

@@ -24,7 +24,12 @@ from greenmodes import (
     volterra_march,
 )
 from greenmodes import numerics
-from greenmodes.numerics import fourier_table, gauss_legendre, phase_sum
+from greenmodes.numerics import (
+    fourier_table,
+    gauss_legendre,
+    merge_lines,
+    phase_sum,
+)
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=4000)
 
@@ -319,20 +324,24 @@ PHASE_SUM_C = 4.0
     t0=st.sampled_from([-37.5, 0.0, 12.25]),
     h=st.floats(1e-3, 0.5),
     n_nu=st.integers(1, 30),
+    repeats=st.booleans(),
     n_cols=st.sampled_from([0, 1, 2]),
     jitter=st.sampled_from([0.0, 1e-11, 0.3]),
     block=st.sampled_from([4, 4096]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_phase_sum_matches_long_double_reference(n, t0, h, n_nu, n_cols,
-                                                 jitter, block, seed):
+def test_phase_sum_matches_long_double_reference(n, t0, h, n_nu, repeats,
+                                                 n_cols, jitter, block, seed):
     # uniform grids either side of zero, sizes 1-3 and non-square n, base
     # rows above block, one or two weight columns; a 1e-11 jitter keeps
     # the factored path with its first-order delay term, a 0.3 h jitter
-    # makes the grid non-uniform
+    # makes the grid non-uniform; with repeats the lines are drawn from
+    # a pool of ceil(n_nu / 2) frequencies, as in a degenerate spectrum
     rng = np.random.default_rng(seed)
     taus = t0 + h * np.arange(n) + jitter * h * rng.uniform(-1.0, 1.0, n)
-    nu = rng.uniform(-20.0, 20.0, n_nu)
+    nu = rng.uniform(-20.0, 20.0, (n_nu + 1) // 2 if repeats else n_nu)
+    if repeats:
+        nu = rng.choice(nu, n_nu)
     shape = (n_nu,) + ((n_cols,) if n_cols else ())
     w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     got = phase_sum(taus, nu, w, block=block)
@@ -346,6 +355,26 @@ def test_phase_sum_matches_long_double_reference(n, t0, h, n_nu, n_cols,
         err = np.hypot((approx.real - re).astype(float),
                        (approx.imag - im).astype(float))
         assert np.all(err <= bound)
+
+
+@pytest.mark.parametrize("n_cols", [0, 2])
+def test_phase_sum_merges_equal_lines_first(rng, n_cols):
+    # duplicated lines in shuffled order transform bitwise as the
+    # distinct lines with their weights summed in line order
+    lines = np.sort(rng.uniform(-5.0, 5.0, 9))
+    group = rng.permutation(np.repeat(np.arange(9), rng.integers(1, 5, 9)))
+    shape = (group.size,) + ((n_cols,) if n_cols else ())
+    w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    summed = np.zeros((9,) + shape[1:], dtype=complex)
+    for g, row in zip(group, w):
+        summed[g] += row
+    taus = np.linspace(0.0, 40.0, 1001)
+    assert np.array_equal(phase_sum(taus, lines[group], w),
+                          phase_sum(taus, lines, summed))
+    # distinct lines pass through untouched, in their given order
+    nu, rows = rng.permutation(lines), w[:9]
+    got_nu, got_rows = merge_lines(nu, rows)
+    assert got_nu is nu and got_rows is rows
 
 
 def test_phase_sum_phases_are_exact_on_a_uniform_grid(rng):
