@@ -14,10 +14,7 @@ from .atom import Drive, TwoLevelAtom
 from .constants import Constants, ThermalState, thermal_occupation
 from .decay import (
     DecayResult,
-    MemoryKernel,
     fit_rate_and_shift,
-    kernel_lna,
-    kernel_nmqed,
     markov_rate_and_shift,
     solve_volterra,
 )

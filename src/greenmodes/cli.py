@@ -17,19 +17,21 @@ import os
 import sys
 import time
 import warnings as _warnings
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .atom import Drive, TwoLevelAtom
 from .constants import Constants, ThermalState
-from .decay import kernel_lna, kernel_nmqed, markov_rate_and_shift, solve_volterra
-from .greens import BulkClosedForm, BulkSommerfeld, CavityModeSum
+from .decay import markov_rate_and_shift, solve_volterra
+from .greens import BulkClosedForm, BulkSommerfeld, CavityModeSum, wavenumber
 from .identities import (
     check_appendix_lossless_limit,
     check_conversion_p1,
     check_magic_formula,
     check_surface_term,
+    sphere_clears_points,
 )
 from .master import (
     evolve_master_equation,
@@ -220,7 +222,8 @@ _SCHEMA = {
     "geometry": _key(_union, None, tag="type", variants={
         "bulk": {"type": _key(_string),
                  "permittivity": _key(_union, **_PERMITTIVITY)},
-        "pec_box": {"type": _key(_string), "lengths": _VEC3,
+        "pec_box": {"type": _key(_string),
+                    "lengths": _key(_numbers, size=3, above=0.0),
                     "n_max": _key(_integer, minimum=1),
                     "eta": _key(_number, 0.0),
                     "permittivity": _key(_union, {"model": "constant",
@@ -325,7 +328,28 @@ def validate(subcommand, scenario):
                               != len(s["evaluation"]["sources"])):
         raise SchemaError("evaluation.points and evaluation.sources must "
                           "have equal length")
+    if geometry is not None and geometry["type"] == "pec_box":
+        box = CavityGeometry(*geometry["lengths"])
+        for block, key in (("atom", "position"), ("evaluation", "points"),
+                           ("evaluation", "sources"), ("conversion", "r"),
+                           ("conversion", "r0")):
+            points = np.reshape(s.get(block, {}).get(key, []), (-1, 3))
+            if not all(map(box.contains, points)):
+                raise SchemaError("%s.%s lies outside the pec_box"
+                                  % (block, key))
+    if "surface" in s:
+        sf = s["surface"]
+        eps = _permittivity(geometry["permittivity"]).eval(sf["omega"])
+        k = wavenumber(sf["omega"], eps, _constants(s))
+        for i, radius in enumerate(sf["radii"]):
+            if not sphere_clears_points(radius, sf["r"], sf["r0"], k):
+                raise SchemaError("surface.radii[%d]: sphere too small" % i)
     return s
+
+
+def _constants(s):
+    return (Constants.si() if s["units"]["system"] == "si"
+            else Constants.natural())
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +386,19 @@ def _atom(s):
     return TwoLevelAtom(position=a["position"], dipole=a["dipole"],
                         omega0=a["omega0"],
                         drive=Drive(**a["drive"]) if a["drive"] else None)
+
+
+def _density(s, block, atom, qspec, const, temperature=None):
+    """The spectral density on the route of s[block]: ww's kernel or
+    master's bath."""
+    b = s[block]
+    if b["route"] == "nmqed":
+        return spectral_density_nmqed(_modeset(s, const), atom,
+                                      temperature=temperature)
+    return spectral_density_lna(_green_backend(s, qspec, const), atom,
+                                spec=qspec, omega_max=b["omega_max"],
+                                temperature=temperature,
+                                analytic_limit=b["analytic_limit"])
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +561,11 @@ def _run_check_appendix(s, qspec, const, outdir, fmt, stem):
 
 def _run_ww(s, qspec, const, outdir, fmt, stem):
     atom = _atom(s)
-    k, t = s["kernel"], s["time"]
-    if k["route"] == "nmqed":
-        kernel = kernel_nmqed(_modeset(s, const), atom)
-    else:
-        kernel = kernel_lna(_green_backend(s, qspec, const), atom, spec=qspec,
-                            omega_max=k["omega_max"],
-                            analytic_limit=k["analytic_limit"])
-    result = solve_volterra(kernel, t["t_max"], t["n_steps"],
+    t = s["time"]
+    density = _density(s, "kernel", atom, qspec, const)
+    result = solve_volterra(density, atom.omega0, t["t_max"], t["n_steps"],
                             fit_window=tuple(t["fit_window"]))
-    gamma, delta = markov_rate_and_shift(kernel, atom, qspec)
+    gamma, delta = markov_rate_and_shift(density, atom.omega0, qspec)
     table = os.path.join(outdir, "%s_ww.%s" % (stem, fmt))
     _write_table(table, ("t", "re_c", "im_c", "population"),
                  (result.times, result.c_es.real, result.c_es.imag,
@@ -545,7 +577,7 @@ def _run_ww(s, qspec, const, outdir, fmt, stem):
         "fit_gamma": fit_gamma,
         "fit_shift": fit_shift,
         "fit_window": t["fit_window"],
-        "provenance": kernel.provenance,
+        "provenance": density.provenance,
         "t_max": t["t_max"],
         "n_steps": t["n_steps"],
         "population_final": float(result.population[-1]),
@@ -560,15 +592,8 @@ def _run_ww(s, qspec, const, outdir, fmt, stem):
 def _run_master(s, qspec, const, outdir, fmt, stem):
     atom = _atom(s)
     b, e, init = s["bath"], s["evolution"], s["initial_state"]
-    temperature = ThermalState(b["temperature"], const)
-    if b["route"] == "nmqed":
-        density = spectral_density_nmqed(_modeset(s, const), atom,
-                                         temperature=temperature)
-    else:
-        density = spectral_density_lna(_green_backend(s, qspec, const), atom,
-                                       spec=qspec, omega_max=b["omega_max"],
-                                       temperature=temperature,
-                                       analytic_limit=b["analytic_limit"])
+    density = _density(s, "bath", atom, qspec, const,
+                       ThermalState(b["temperature"], const))
     p_ee, (coh_re, coh_im) = init["rho_ee"], init["rho_eg"]
     rho0 = np.array([[p_ee, coh_re + 1j * coh_im],
                      [coh_re - 1j * coh_im, 1.0 - p_ee]], dtype=complex)
@@ -582,12 +607,12 @@ def _run_master(s, qspec, const, outdir, fmt, stem):
                  (traj.times, traj.rho_ee, traj.rho_eg.real, traj.rho_eg.imag),
                  fmt)
 
-    # bare level shift: PV of J alone, no thermal factors
-    bare = density
-    if density.temperature.temperature != 0.0:
-        from dataclasses import replace
+    # bare level shift: PV of J alone, no thermal factors; a T = 0 markov
+    # run has already integrated it as traj.k1
+    k1_bare = traj.k1
+    if mode != "markov" or b["temperature"] != 0.0:
         bare = replace(density, temperature=ThermalState(0.0, const))
-    k1_bare, _ = markov_coefficients(bare, atom.omega0, qspec)
+        k1_bare, _ = markov_coefficients(bare, atom.omega0, qspec)
     summary = {
         "mode": mode,
         "decay_rate": traj.decay_rate if mode == "markov" else None,
@@ -695,8 +720,7 @@ def main(argv=None):
         for assignment in args.overrides:
             _apply_override(scenario, assignment)
         s = validate(args.subcommand, scenario)
-        const = (Constants.si() if s["units"]["system"] == "si"
-                 else Constants.natural())
+        const = _constants(s)
         qspec = QuadratureSpec(**s["quadrature"])
 
         outdir = args.out or os.environ.get(OUT_ENV_VAR) or os.getcwd()

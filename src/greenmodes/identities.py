@@ -465,6 +465,13 @@ def _surface_flux(center, radius, r, r0, omega, eps, const, n_theta):
     return pref * np.einsum("n,nil->il", wts, inner)
 
 
+def sphere_clears_points(radius, r, r0, k):
+    """Whether r and r0 lie 2/|k| or more inside the sphere of radius
+    centered at their midpoint, the one check_surface_term integrates
+    over."""
+    return radius - 0.5 * np.linalg.norm(r3(r) - r3(r0)) >= 2.0 / abs(k)
+
+
 def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None,
                        const=None):
     """Closure of the volume identity on a finite ball plus its boundary.
@@ -489,9 +496,7 @@ def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None,
             "lossy coincidence has no finite Im G; separate the points")
     center = 0.5 * (r + r0)
     radius = float(sphere_radius)
-    margin = min(radius - np.linalg.norm(r - center),
-                 radius - np.linalg.norm(r0 - center))
-    if margin < 2.0 / abs(k):
+    if not sphere_clears_points(radius, r, r0, k):
         raise ValueError(
             "sphere too small: atom points within two wavenumber depths "
             "of the bounding surface"

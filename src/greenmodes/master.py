@@ -8,9 +8,9 @@ whose coefficients are time integrals of two bath correlators,
 
 with S either a mode sum (discrete density; lines at equal frequencies
 share one exponential row) or a frequency integral (continuous density)
-and w_d the transition frequency.  The same SpectralDensity at T = 0 is
-the weight behind the decay module's memory kernel, D(tau) = -C_up(tau)
-at w_d = omega0.
+and w_d the transition frequency.  A SpectralDensity is the one
+spectral weight of the package: at T = 0 it is also what the decay
+module marches, with memory kernel D(tau) = -C_up(tau) at w_d = omega0.
 
 Both shipped modes act through one real generator A(k1, k2) on the
 Bloch vector x = (rho_ee, Re rho_eg, Im rho_eg, 1), so every step map is
@@ -105,15 +105,12 @@ def resonance_edge_hints(omegas, eta, omega_max):
 
 
 def spectral_density_nmqed(modeset, atom, temperature=None):
-    """One line per cavity mode at J_k = |g_k|^2 / hbar^2."""
-    if len(modeset) == 0:
-        raise ValueError("empty mode set")
-    order = np.argsort(modeset.omegas, kind="stable")
-    values = coupling_strengths(modeset, atom)[order]
+    """One line per cavity mode at J_k = |g_k|^2 / hbar^2, in the mode
+    set's row order, which is ascending in frequency."""
     return SpectralDensity(
         provenance="nmqed",
-        omegas=modeset.omegas[order].copy(),
-        values=values,
+        omegas=modeset.omegas.copy(),
+        values=coupling_strengths(modeset, atom),
         temperature=temperature,
         metadata={"n_modes": len(modeset)},
     )
@@ -153,14 +150,10 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
     if analytic_limit:
         if modeset is None:
             raise ValueError("analytic_limit needs a cavity mode-sum backend")
-        if len(modeset) == 0:
-            raise ValueError("empty mode set")
-        order = np.argsort(modeset.omegas, kind="stable")
-        masses = _lna_line_masses(modeset, atom, const)[order]
         return SpectralDensity(
             provenance="lna",
-            omegas=modeset.omegas[order].copy(),
-            values=masses,
+            omegas=modeset.omegas.copy(),
+            values=_lna_line_masses(modeset, atom, const),
             temperature=temperature,
             metadata={"n_modes": len(modeset), "path": "analytic-limit"},
         )
@@ -191,7 +184,6 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
         omega_max=float(omega_max),
         temperature=temperature,
         edge_hints=hints,
-        metadata={"omega_max": float(omega_max)},
     )
 
 

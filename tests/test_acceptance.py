@@ -23,14 +23,12 @@ from greenmodes import (
     ConstantScalar,
     Constants,
     DrudeLorentz,
-    MemoryKernel,
     SpectralDensity,
     ThermalState,
     TwoLevelAtom,
+    bath_correlations,
     build_pec_box_modes,
     evolve_master_equation,
-    kernel_lna,
-    kernel_nmqed,
     solve_volterra,
     spectral_density_lna,
     spectral_density_nmqed,
@@ -152,11 +150,13 @@ def test_accept_kernel_route_equivalence():
     atom = TwoLevelAtom(position=np.array(body["atom"]["position"]),
                         dipole=np.array(body["atom"]["dipole"]),
                         omega0=body["atom"]["omega0"])
-    k_disc = kernel_nmqed(modeset, atom)
-    k_cont = kernel_lna(CavityModeSum(modeset), atom, analytic_limit=True)
+    k_disc = spectral_density_nmqed(modeset, atom)
+    k_cont = spectral_density_lna(CavityModeSum(modeset), atom,
+                                  analytic_limit=True)
     taus = np.random.default_rng(20240822).uniform(0.0, 30.0, size=100)
-    d1 = k_disc.table(taus)
-    d2 = k_cont.table(taus)
+    # the memory kernels D = -C_up that ww marches on each route
+    d1, d2 = (-bath_correlations(k, atom.omega0, taus).c_up
+              for k in (k_disc, k_cont))
     scale = np.max(np.abs(d1))
     dev = np.max(np.abs(d1 - d2))
     elapsed = time.monotonic() - t0
@@ -350,20 +350,19 @@ def test_accept_integrator_oracles(tmp_path):
     t0 = time.monotonic()
     # resonant line: constant kernel, amplitude cos(g t); run to g*t = 10
     g = 1.0
-    kern = MemoryKernel(omega0=1.0, omegas=np.array([1.0]),
-                        weights=np.array([g * g]))
+    kern = SpectralDensity(omegas=np.array([1.0]), values=np.array([g * g]))
 
     def cosine_err(n):
-        res = solve_volterra(kern, 10.0, n)
+        res = solve_volterra(kern, 1.0, 10.0, n)
         return np.max(np.abs(res.c_es - np.cos(g * res.times)))
 
     err4000 = cosine_err(4000)
     order_gain = cosine_err(2000) / err4000
     # detuned line: two-frequency beat against the closed form
     gd, det = 0.35, 0.4
-    kern_d = MemoryKernel(omega0=1.0, omegas=np.array([1.0 + det]),
-                          weights=np.array([gd * gd]))
-    res = solve_volterra(kern_d, 20.0, 4000)
+    kern_d = SpectralDensity(omegas=np.array([1.0 + det]),
+                             values=np.array([gd * gd]))
+    res = solve_volterra(kern_d, 1.0, 20.0, 4000)
     rabi_err = np.max(np.abs(res.c_es - _rabi_exact(res.times, gd, det)))
     # the bundled scenario must run clean at this resolution as well
     body = load_scenario(tag)

@@ -509,13 +509,24 @@ def _assert_schema_error_without_work(code, capsys, calls, out):
     # valid values that the nmqed route would ignore
     ("accept02", "kernel.analytic_limit=true"),
     ("accept09", "bath.omega_max=3"),
+    # points outside a pec_box, an empty box, a sphere that grazes a point
+    ("accept03", "conversion.r=[1.5,0.5,0.5]"),
+    ("accept02", "atom.position=[2,0.5,0.5]"),
+    ("accept09", "atom.position=[2,0.5,0.5]"),
+    ("accept05", ('geometry={"type": "pec_box", "lengths": [1, 1, 1], '
+                  '"n_max": 2, "eta": 0.01}', "backend.type=mode_sum")),
+    ("accept10", "geometry.lengths=[1,0,1]"),
+    ("accept07", "surface.radii=[0.5]"),
 ], ids=["master-last-block", "ww-t_max", "nmqed-analytic_limit",
         "nmqed-omega_max", "nmqed-backend-type", "closed-form-k_max",
         "magic-geometry-type", "ww-t_max-zero", "omega0-zero",
         "master-t_max-zero", "gain-medium", "bulk-kernel-analytic_limit",
         "magic-lossless-delta", "magic-gain-delta", "magic-omega-zero",
         "eps-zero", "surface-omega-zero", "appendix-omega-zero",
-        "nmqed-kernel-analytic_limit-true", "nmqed-bath-omega_max"])
+        "nmqed-kernel-analytic_limit-true", "nmqed-bath-omega_max",
+        "p1-point-outside-box", "ww-atom-outside-box",
+        "master-atom-outside-box", "green-point-outside-box",
+        "box-length-zero", "surface-sphere-too-small"])
 def test_schema_error_exits_before_any_work(tmp_path, capsys, monkeypatch,
                                             tag, override):
     calls = []
@@ -524,9 +535,34 @@ def test_schema_error_exits_before_any_work(tmp_path, capsys, monkeypatch,
                         (lambda *args: calls.append(args),)
                         + cli._SUBCOMMANDS[sub][1:])
     out = tmp_path / "never-created"
-    code = run([sub, "--config", bundled(tag), "--out", out,
-                "--quiet", "--set", override])
+    overrides = (override,) if isinstance(override, str) else override
+    code = run([sub, "--config", bundled(tag), "--out", out, "--quiet"]
+               + [arg for o in overrides for arg in ("--set", o)])
     _assert_schema_error_without_work(code, capsys, calls, out)
+
+
+@pytest.mark.parametrize("temperature, pv_calls", [(0.0, 1), (1.0, 2)])
+def test_markov_master_pv_integrals(tmp_path, monkeypatch, temperature,
+                                    pv_calls):
+    # at T = 0 the bare level shift delta_d is the k1 the march already
+    # integrated; at T > 0 it is a second PV integral, of J alone
+    from greenmodes import master
+
+    calls = []
+
+    def counting_pv(*args, **kwargs):
+        calls.append(args)
+        return integrate_pv(*args, **kwargs)
+
+    integrate_pv = master.integrate_pv
+    monkeypatch.setattr(master, "integrate_pv", counting_pv)
+    code = run(["master", "--config", bundled("accept09"), "--out", tmp_path,
+                "--quiet", "--set", "bath.route=lna",
+                "--set", "geometry.eta=0.01", "--set", "evolution.mode=markov",
+                "--set", "bath.omega_max=8",
+                "--set", "bath.temperature=%r" % temperature])
+    assert code == 0
+    assert len(calls) == pv_calls
 
 
 def test_bath_analytic_limit_on_bulk_exits_schema_before_any_work(

@@ -14,9 +14,10 @@ from scipy import special
 from greenmodes import (
     ConvergenceError,
     Grid1D,
-    MemoryKernel,
     QuadratureSpec,
+    SpectralDensity,
     TailTruncationWarning,
+    bath_correlations,
     integrate_adaptive,
     integrate_pv,
     solve_volterra,
@@ -517,10 +518,10 @@ def test_volterra_blowup_names_first_divergent_step():
 def test_march_error_tracks_true_error_on_flat_kernel():
     # one line of weight g^2 at omega0 is the flat kernel K = -g^2
     g = 1.0
-    kern = MemoryKernel(omega0=1.0, omegas=np.array([1.0]),
-                        weights=np.array([g**2]))
-    assert np.all(kern.table(np.linspace(0.0, 10.0, 7)) == -(g**2))
-    res = solve_volterra(kern, 10.0, 4000)
+    dens = SpectralDensity(omegas=np.array([1.0]), values=np.array([g**2]))
+    kern = -bath_correlations(dens, 1.0, np.linspace(0.0, 10.0, 7)).c_up
+    assert np.all(kern == -(g**2))
+    res = solve_volterra(dens, 1.0, 10.0, 4000)
     true = np.max(np.abs(res.c_es - flat_kernel_solution(g, res.times)))
     assert 0.5 * true <= res.march_error <= 2.0 * true
 
