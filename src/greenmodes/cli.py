@@ -607,12 +607,9 @@ def _run_master(s, qspec, const, outdir, fmt, stem):
                  (traj.times, traj.rho_ee, traj.rho_eg.real, traj.rho_eg.imag),
                  fmt)
 
-    # bare level shift: PV of J alone, no thermal factors; a T = 0 markov
-    # run has already integrated it as traj.k1
-    k1_bare = traj.k1
-    if mode != "markov" or b["temperature"] != 0.0:
-        bare = replace(density, temperature=ThermalState(0.0, const))
-        k1_bare, _ = markov_coefficients(bare, atom.omega0, qspec)
+    # bare level shift: PV of J alone, no thermal factors
+    bare = replace(density, temperature=ThermalState(0.0, const))
+    k1_bare, _ = markov_coefficients(bare, atom.omega0, qspec)
     summary = {
         "mode": mode,
         "decay_rate": traj.decay_rate if mode == "markov" else None,

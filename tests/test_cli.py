@@ -541,30 +541,6 @@ def test_schema_error_exits_before_any_work(tmp_path, capsys, monkeypatch,
     _assert_schema_error_without_work(code, capsys, calls, out)
 
 
-@pytest.mark.parametrize("temperature, pv_calls", [(0.0, 1), (1.0, 2)])
-def test_markov_master_pv_integrals(tmp_path, monkeypatch, temperature,
-                                    pv_calls):
-    # at T = 0 the bare level shift delta_d is the k1 the march already
-    # integrated; at T > 0 it is a second PV integral, of J alone
-    from greenmodes import master
-
-    calls = []
-
-    def counting_pv(*args, **kwargs):
-        calls.append(args)
-        return integrate_pv(*args, **kwargs)
-
-    integrate_pv = master.integrate_pv
-    monkeypatch.setattr(master, "integrate_pv", counting_pv)
-    code = run(["master", "--config", bundled("accept09"), "--out", tmp_path,
-                "--quiet", "--set", "bath.route=lna",
-                "--set", "geometry.eta=0.01", "--set", "evolution.mode=markov",
-                "--set", "bath.omega_max=8",
-                "--set", "bath.temperature=%r" % temperature])
-    assert code == 0
-    assert len(calls) == pv_calls
-
-
 def test_bath_analytic_limit_on_bulk_exits_schema_before_any_work(
         tmp_path, capsys):
     # the analytic limit needs a cavity mode sum; the library would refuse
