@@ -5,13 +5,13 @@ The package implements two quantization routes for the macroscopic field,
 a closed-cavity normal-mode expansion and a noise-current (Green-tensor)
 formulation, along with the numerical identity checks tying them together
 in the lossless limit, plus non-Markovian decay and driven master-equation
-solvers built on either route.
+solvers built on either route.  Everything is in natural units,
+hbar = c = eps0 = kB = 1.
 """
 
 __version__ = "0.1.0"
 
 from .atom import Drive, TwoLevelAtom
-from .constants import Constants, ThermalState, thermal_occupation
 from .decay import (
     DecayResult,
     fit_rate_and_shift,
@@ -46,6 +46,7 @@ from .master import (
     markov_coefficients,
     spectral_density_lna,
     spectral_density_nmqed,
+    thermal_occupation,
 )
 from .modes import (
     CavityGeometry,

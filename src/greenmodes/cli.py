@@ -12,6 +12,7 @@ before any work, so a schema error writes nothing.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .atom import Drive, TwoLevelAtom
-from .constants import Constants, ThermalState
 from .decay import markov_rate_and_shift, solve_volterra
 from .greens import BulkClosedForm, BulkSommerfeld, CavityModeSum, wavenumber
 from .identities import (
@@ -209,8 +209,6 @@ _VEC3 = _key(_numbers, size=3)
 _SCHEMA = {
     "name": _key(_name),
     "description": _key(_string, None),
-    "units": _key(_resolve, {}, schema={
-        "system": _key(_string, "natural", choices={"natural", "si"})}),
     "quadrature": _key(_resolve, {}, schema={
         "abs_tol": _key(_number, QuadratureSpec.abs_tol),
         "rel_tol": _key(_number, QuadratureSpec.rel_tol),
@@ -281,7 +279,7 @@ _SCHEMA = {
         "omega": _key(_number, above=0.0)}),
 }
 
-_COMMON = ("name", "description", "units", "quadrature", "geometry")
+_COMMON = ("name", "description", "quadrature", "geometry")
 
 # geometry type -> the backend.type choices, the first one the default
 _BACKENDS = {"bulk": ("closed_form", "sommerfeld"), "pec_box": ("mode_sum",)}
@@ -340,16 +338,11 @@ def validate(subcommand, scenario):
     if "surface" in s:
         sf = s["surface"]
         eps = _permittivity(geometry["permittivity"]).eval(sf["omega"])
-        k = wavenumber(sf["omega"], eps, _constants(s))
+        k = wavenumber(sf["omega"], eps)
         for i, radius in enumerate(sf["radii"]):
             if not sphere_clears_points(radius, sf["r"], sf["r0"], k):
                 raise SchemaError("surface.radii[%d]: sphere too small" % i)
     return s
-
-
-def _constants(s):
-    return (Constants.si() if s["units"]["system"] == "si"
-            else Constants.natural())
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +355,22 @@ def _permittivity(block):
     return DrudeLorentz(eps_inf=block["eps_inf"], poles=block["poles"])
 
 
-def _modeset(s, const):
+def _modeset(s):
     g = s["geometry"]
     geom = CavityGeometry(*g["lengths"],
                           background=_permittivity(g["permittivity"]))
-    return build_pec_box_modes(geom, g["n_max"], const=const)
+    return build_pec_box_modes(geom, g["n_max"])
 
 
-def _green_backend(s, qspec, const):
+def _green_backend(s, qspec):
     g, backend = s["geometry"], s["backend"]
     if g["type"] == "pec_box":
-        return CavityModeSum(_modeset(s, const), eta=g["eta"])
+        return CavityModeSum(_modeset(s), eta=g["eta"])
     eps_model = _permittivity(g["permittivity"])
     if backend["type"] == "closed_form":
-        return BulkClosedForm(eps_model, const=const)
+        return BulkClosedForm(eps_model)
     return BulkSommerfeld(eps_model, spec=qspec,
-                          k_max_multiplier=backend["k_max_multiplier"],
-                          const=const)
+                          k_max_multiplier=backend["k_max_multiplier"])
 
 
 def _atom(s):
@@ -388,14 +380,14 @@ def _atom(s):
                         drive=Drive(**a["drive"]) if a["drive"] else None)
 
 
-def _density(s, block, atom, qspec, const, temperature=None):
+def _density(s, block, atom, qspec, temperature=0.0):
     """The spectral density on the route of s[block]: ww's kernel or
     master's bath."""
     b = s[block]
     if b["route"] == "nmqed":
-        return spectral_density_nmqed(_modeset(s, const), atom,
+        return spectral_density_nmqed(_modeset(s), atom,
                                       temperature=temperature)
-    return spectral_density_lna(_green_backend(s, qspec, const), atom,
+    return spectral_density_lna(_green_backend(s, qspec), atom,
                                 spec=qspec, omega_max=b["omega_max"],
                                 temperature=temperature,
                                 analytic_limit=b["analytic_limit"])
@@ -464,8 +456,8 @@ def _write_json(path, payload):
 # subcommand runners: resolved scenario -> (files, summary)
 
 
-def _run_modes(s, qspec, const, outdir, fmt, stem):
-    modeset = _modeset(s, const)
+def _run_modes(s, qspec, outdir, fmt, stem):
+    modeset = _modeset(s)
     table = os.path.join(outdir, "%s_modes.%s" % (stem, fmt))
     _write_table(table, ("m", "n", "p", "branch", "omega"),
                  list(modeset.idx.T) + [modeset.omegas], fmt)
@@ -478,8 +470,8 @@ def _run_modes(s, qspec, const, outdir, fmt, stem):
     return [table], summary
 
 
-def _run_green(s, qspec, const, outdir, fmt, stem):
-    backend = _green_backend(s, qspec, const)
+def _run_green(s, qspec, outdir, fmt, stem):
+    backend = _green_backend(s, qspec)
     ev = s["evaluation"]
     comps = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
     columns = ["x", "y", "z", "x0", "y0", "z0", "omega"]
@@ -499,9 +491,9 @@ def _run_green(s, qspec, const, outdir, fmt, stem):
     return [table], {"n_rows": len(rows), "backend": type(backend).__name__}
 
 
-def _run_check_p1(s, qspec, const, outdir, fmt, stem):
+def _run_check_p1(s, qspec, outdir, fmt, stem):
     c = s["conversion"]
-    report = check_conversion_p1(_modeset(s, const), np.array(c["r"]),
+    report = check_conversion_p1(_modeset(s), np.array(c["r"]),
                                  np.array(c["r0"]), spec=qspec, eta=c["eta"],
                                  omega_max=c["omega_max"],
                                  lhs_path=c["lhs_path"])
@@ -525,44 +517,42 @@ def _write_sweep(outdir, stem, tag, values, check):
     return out, [r["rel_residual"] for r in reports]
 
 
-def _run_check_magic(s, qspec, const, outdir, fmt, stem):
+def _run_check_magic(s, qspec, outdir, fmt, stem):
     m = s["magic"]
     r, r0 = np.array(m["r"]), np.array(m["r0"])
     out, residuals = _write_sweep(
         outdir, stem, "delta", m["deltas"],
         lambda delta: check_magic_formula(
             ConstantScalar(complex(m["eps_real"], delta)), r, r0, m["omega"],
-            spec=qspec, exclusion_radius=m["exclusion_radius"], const=const))
+            spec=qspec, exclusion_radius=m["exclusion_radius"]))
     return [out], {"deltas": m["deltas"], "rel_residuals": residuals}
 
 
-def _run_check_surface(s, qspec, const, outdir, fmt, stem):
+def _run_check_surface(s, qspec, outdir, fmt, stem):
     eps_model = _permittivity(s["geometry"]["permittivity"])
     sf = s["surface"]
     r, r0 = np.array(sf["r"]), np.array(sf["r0"])
     out, residuals = _write_sweep(
         outdir, stem, "radius", sf["radii"],
         lambda radius: check_surface_term(eps_model, radius, r, r0,
-                                          sf["omega"], spec=qspec,
-                                          const=const))
+                                          sf["omega"], spec=qspec))
     return [out], {"radii": sf["radii"], "rel_residuals": residuals}
 
 
-def _run_check_appendix(s, qspec, const, outdir, fmt, stem):
+def _run_check_appendix(s, qspec, outdir, fmt, stem):
     a = s["appendix"]
     r0 = np.array(a["r0"])
     out, residuals = _write_sweep(
         outdir, stem, "offset", a["offsets"],
         lambda off: check_appendix_lossless_limit(r0 + np.array(off), r0,
-                                                  a["omega"], spec=qspec,
-                                                  const=const))
+                                                  a["omega"], spec=qspec))
     return [out], {"rel_residuals": residuals}
 
 
-def _run_ww(s, qspec, const, outdir, fmt, stem):
+def _run_ww(s, qspec, outdir, fmt, stem):
     atom = _atom(s)
     t = s["time"]
-    density = _density(s, "kernel", atom, qspec, const)
+    density = _density(s, "kernel", atom, qspec)
     result = solve_volterra(density, atom.omega0, t["t_max"], t["n_steps"],
                             fit_window=tuple(t["fit_window"]))
     gamma, delta = markov_rate_and_shift(density, atom.omega0, qspec)
@@ -589,11 +579,10 @@ def _run_ww(s, qspec, const, outdir, fmt, stem):
     return [table, summ], summary
 
 
-def _run_master(s, qspec, const, outdir, fmt, stem):
+def _run_master(s, qspec, outdir, fmt, stem):
     atom = _atom(s)
     b, e, init = s["bath"], s["evolution"], s["initial_state"]
-    density = _density(s, "bath", atom, qspec, const,
-                       ThermalState(b["temperature"], const))
+    density = _density(s, "bath", atom, qspec, b["temperature"])
     p_ee, (coh_re, coh_im) = init["rho_ee"], init["rho_eg"]
     rho0 = np.array([[p_ee, coh_re + 1j * coh_im],
                      [coh_re - 1j * coh_im, 1.0 - p_ee]], dtype=complex)
@@ -608,7 +597,7 @@ def _run_master(s, qspec, const, outdir, fmt, stem):
                  fmt)
 
     # bare level shift: PV of J alone, no thermal factors
-    bare = replace(density, temperature=ThermalState(0.0, const))
+    bare = replace(density, temperature=0.0)
     k1_bare, _ = markov_coefficients(bare, atom.omega0, qspec)
     summary = {
         "mode": mode,
@@ -692,6 +681,17 @@ def _error_payload(code, exc):
                       "message": str(exc)}}
 
 
+def _make_outdir(outdir):
+    """Create outdir and its missing parents; returns the directories
+    this created, innermost first."""
+    made, path = [], os.path.abspath(outdir)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(outdir, exist_ok=True)
+    return made
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="greenmodes",
@@ -711,21 +711,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     t_start = time.time()
+    made = []
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             scenario = _require_dict(json.loads(fh.read()), "scenario")
         for assignment in args.overrides:
             _apply_override(scenario, assignment)
         s = validate(args.subcommand, scenario)
-        const = _constants(s)
         qspec = QuadratureSpec(**s["quadrature"])
 
         outdir = args.out or os.environ.get(OUT_ENV_VAR) or os.getcwd()
-        os.makedirs(outdir, exist_ok=True)
+        made = _make_outdir(outdir)
         with _warnings.catch_warnings(record=True) as wrec:
             _warnings.simplefilter("always")
             files, summary = _SUBCOMMANDS[args.subcommand][0](
-                s, qspec, const, outdir, args.format, s["name"])
+                s, qspec, outdir, args.format, s["name"])
             caught = ["%s: %s" % (type(w.message).__name__, w.message)
                       for w in wrec]
 
@@ -743,6 +743,9 @@ def main(argv=None):
     except tuple(_EXIT_CODES) as exc:
         code = next(code for kind, code in _EXIT_CODES.items()
                     if isinstance(exc, kind))
+        for path in made:  # a failed run removes what it made, if empty
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         print(json.dumps(_error_payload(code, exc)), file=sys.stderr)
         return code
     if not args.quiet:

@@ -23,7 +23,7 @@ def _check_decay(density, omega0):
     """A decay kernel is the zero-temperature density rotated at omega0."""
     if omega0 <= 0.0:
         raise ValueError("omega0 must be positive")
-    if density.temperature.temperature != 0.0:
+    if density.temperature != 0.0:
         raise ValueError("decay needs a zero-temperature density")
 
 

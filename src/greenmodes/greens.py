@@ -3,29 +3,28 @@ medium, three ways: closed-form homogeneous bulk, a (2+1)-dimensional
 radial spectral integral over lateral wavenumber, and a truncated cavity
 mode sum.
 
-Conventions: G propagates a point dipole source, so for vacuum the
-far field is e^{ik rho}(I - ee)/(4 pi rho) and the coincidence limit of
-Im G in a lossless medium is (sqrt(eps) w / 6 pi c) I.  Wavenumbers take
+Conventions: natural units (c = 1, so k = sqrt(eps) w); G propagates a
+point dipole source, so for vacuum the far field is
+e^{ik rho}(I - ee)/(4 pi rho) and the coincidence limit of Im G in a
+lossless medium is (sqrt(eps) w / 6 pi) I.  Wavenumbers take
 the Im k >= 0 branch (outgoing, decaying), which also makes every backend
 satisfy the reflection G(-w) = G*(w) on the real axis.  The contact
 delta-function term is excluded everywhere; the volume identity writes
 its cross term in closed form (identities._volume_terms).
 
-The backends are plain classes: all three have evaluate(r, r0, omega)
-and const; the closed form and the mode sum also have im_coincidence.
+The backends are plain classes: all three have evaluate(r, r0, omega);
+the closed form and the mode sum also have im_coincidence.
 """
 
 import numpy as np
 
-from .constants import Constants
 from .numerics import QuadratureSpec, merge_lines, sommerfeld_radial
 from .tensors import I3, r3
 
 
-def wavenumber(omega, eps, const=None):
-    """k = sqrt(eps) w / c on the Im k >= 0 branch."""
-    const = const or Constants.natural()
-    k = np.sqrt(complex(eps)) * omega / const.c
+def wavenumber(omega, eps):
+    """k = sqrt(eps) w on the Im k >= 0 branch."""
+    k = np.sqrt(complex(eps)) * omega
     if k.imag < 0.0:
         k = -k
     return k
@@ -59,20 +58,19 @@ def _bulk_green_batch(disp, k):
     return a[:, None, None] * I3 + b[:, None, None] * ee
 
 
-def bulk_green(r, r0, omega, eps, const=None):
+def bulk_green(r, r0, omega, eps):
     """Closed-form bulk Green tensor at r != r0 (delta term excluded)."""
-    k = wavenumber(omega, eps, const)
+    k = wavenumber(omega, eps)
     return _bulk_green_batch((r3(r) - r3(r0))[None, :], k)[0]
 
 
-def im_green_coincidence(omega, eps, const=None):
-    """Coincidence limit of Im G for a lossless medium: (sqrt(eps) w/6 pi c) I.
+def im_green_coincidence(omega, eps):
+    """Coincidence limit of Im G for a lossless medium: (sqrt(eps) w/6 pi) I.
 
     omega and eps broadcast; a scalar pair gives (3, 3), arrays give
     (..., 3, 3).  In a lossy medium Im G diverges at coincidence, so
     Im eps > 0 raises.
     """
-    const = const or Constants.natural()
     omega = np.asarray(omega, dtype=float)
     eps = np.asarray(eps, dtype=complex)
     if np.any(eps.imag != 0.0):
@@ -84,7 +82,7 @@ def im_green_coincidence(omega, eps, const=None):
         raise ValueError("need eps > 0 for a propagating coincidence limit")
     if np.any(omega <= 0.0):
         raise ValueError("need omega > 0")
-    scale = np.sqrt(eps.real) * omega / (6.0 * np.pi * const.c)
+    scale = np.sqrt(eps.real) * omega / (6.0 * np.pi)
     return scale[..., None, None] * I3
 
 
@@ -126,8 +124,7 @@ def _sommerfeld_integrand(kpar, k, lateral, dz_abs, sign_z):
     return pref[:, None, None] * _bessel_dyad(kpar, kperp, k, lateral, sign_z)
 
 
-def bulk_green_sommerfeld(r, r0, omega, eps, spec=None, k_max_multiplier=30.0,
-                          const=None):
+def bulk_green_sommerfeld(r, r0, omega, eps, spec=None, k_max_multiplier=30.0):
     """Bulk Green tensor from the radial lateral-wavenumber integral.
 
     The 2-d spectral integral is reduced to Bessel kernels J0, J1, J2 in a
@@ -140,13 +137,12 @@ def bulk_green_sommerfeld(r, r0, omega, eps, spec=None, k_max_multiplier=30.0,
     Delta term excluded, as in the closed form.
     """
     spec = spec or QuadratureSpec()
-    const = const or Constants.natural()
     disp = r3(r) - r3(r0)
     dx, dy, dz = disp
     lateral = float(np.hypot(dx, dy))
     if lateral == 0.0 and dz == 0.0:
         raise ValueError("coincidence limit: use im_green_coincidence")
-    k = wavenumber(omega, eps, const)
+    k = wavenumber(omega, eps)
     scale = min(s for s in (abs(dz), lateral) if s > 0.0)
     k_max = min(k_max_multiplier * abs(k) + 40.0 / scale, 500.0 * abs(k))
     sign_z = float(np.sign(dz))
@@ -168,7 +164,7 @@ class ResonanceError(RuntimeError):
 def cavity_green(r, r0, omega, modeset, eta=0.0):
     """Truncated mode-sum Green tensor with optional pole softening.
 
-    G = c^2 sum_k E_k(r) E_k(r0)^T / (w_k^2 - w^2 - i eta w).  Real mode
+    G = sum_k E_k(r) E_k(r0)^T / (w_k^2 - w^2 - i eta w).  Real mode
     fields make each term symmetric under (r, r0) exchange + transpose.
     omega may be an array: the mode fields are evaluated once and the
     result has shape omega.shape + (3, 3).  With eta = 0 a frequency on
@@ -186,8 +182,7 @@ def cavity_green(r, r0, omega, modeset, eta=0.0):
         raise ResonanceError(
             "frequency hits a cavity resonance; use eta > 0 to soften the pole"
         )
-    g = modeset.const.c**2 * ((1.0 / denom) @ pairs)
-    return g.reshape(omega.shape + (3, 3))
+    return ((1.0 / denom) @ pairs).reshape(omega.shape + (3, 3))
 
 
 def _mode_pairs(modeset, r, r0):
@@ -204,12 +199,11 @@ def _mode_pairs(modeset, r, r0):
 
 
 class BulkClosedForm:
-    def __init__(self, eps_model, const=None):
+    def __init__(self, eps_model):
         self.eps_model = eps_model
-        self.const = const or Constants.natural()
 
     def evaluate(self, r, r0, omega):
-        return bulk_green(r, r0, omega, self.eps_model.eval(omega), self.const)
+        return bulk_green(r, r0, omega, self.eps_model.eval(omega))
 
     def im_coincidence(self, r, omega):
         """Im G(r, r, omega), finite in a lossless medium only.
@@ -218,20 +212,19 @@ class BulkClosedForm:
         (n, 3, 3) from one batched evaluation, equal to the stacked
         scalar calls.
         """
-        return im_green_coincidence(omega, self.eps_model.eval(omega), self.const)
+        return im_green_coincidence(omega, self.eps_model.eval(omega))
 
 
 class BulkSommerfeld:
-    def __init__(self, eps_model, spec=None, k_max_multiplier=30.0, const=None):
+    def __init__(self, eps_model, spec=None, k_max_multiplier=30.0):
         self.eps_model = eps_model
         self.spec = spec or QuadratureSpec()
         self.k_max_multiplier = float(k_max_multiplier)
-        self.const = const or Constants.natural()
 
     def evaluate(self, r, r0, omega):
         return bulk_green_sommerfeld(
             r, r0, omega, self.eps_model.eval(omega), self.spec,
-            self.k_max_multiplier, self.const)
+            self.k_max_multiplier)
 
 
 class CavityModeSum:
@@ -239,14 +232,13 @@ class CavityModeSum:
         if eta < 0.0:
             raise ValueError("eta must be >= 0")
         self.modeset = modeset
-        self.const = modeset.const
         self.eta = float(eta)
 
     def evaluate(self, r, r0, omega):
         return cavity_green(r, r0, omega, self.modeset, self.eta)
 
     def im_coincidence(self, r, omega):
-        """c^2 L @ (E E^T), L = eta w / ((w_k^2 - w^2)^2 + eta^2 w^2),
+        """L @ (E E^T), L = eta w / ((w_k^2 - w^2)^2 + eta^2 w^2),
         one Lorentzian row per distinct mode frequency."""
         if self.eta == 0.0:
             raise ValueError(
@@ -260,5 +252,4 @@ class CavityModeSum:
             raise ValueError(
                 "eta = %g too large: (eta omega)^2 overflows" % self.eta)
         lor = x / ((lines**2 - w**2) ** 2 + x2)
-        img = self.const.c**2 * (lor @ pairs)
-        return img.reshape(w.shape[:-1] + (3, 3))
+        return (lor @ pairs).reshape(w.shape[:-1] + (3, 3))

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import Constants
 from .greens import (
     _bessel_dyad,
     _bulk_green_batch,
@@ -115,7 +114,7 @@ def check_conversion_p1(modeset, r, r0, spec=None, eta=None, omega_max=None,
                         lhs_path="softened"):
     """Frequency-integrated softened mode-sum Im G against the direct sum.
 
-    lhs = (1/pi) int_0^omega_max dw (w^2/c^2) Im G_modes(r, r0, w; eta),
+    lhs = (1/pi) int_0^omega_max dw w^2 Im G_modes(r, r0, w; eta),
     rhs = sum_k (w_k/2) E_k(r) E_k(r0)^T over the same truncation.
     lhs_path 'analytic' replaces each per-mode frequency integral by its
     exact eta -> 0 limit w_k/2, making lhs equal rhs to rounding; the
@@ -329,7 +328,7 @@ def _gg_dagger_sum(factors_a, factors_b, weights):
             + _outer_sum(e_a, wb * b_b * dots, e_b))
 
 
-def _volume_terms(r, r0, omega, eps, const, u_cap=None):
+def _volume_terms(r, r0, omega, eps, u_cap=None):
     """int G(r, s) G(s, r0)^dagger d^3s for r != r0, before the absorption
     weight, in pieces: (volume, cross, g_d, ball_radius, n_far_nodes).
 
@@ -341,9 +340,9 @@ def _volume_terms(r, r0, omega, eps, const, u_cap=None):
     n_far_nodes counts the nodes of that rule.  cross is the closed-form
     cross term between the regular part and the symbolic contact delta,
     and g_d = G(r, r0).  The identity's lhs is
-    (w^2 Im eps / c^2) (volume + cross).
+    (w^2 Im eps) (volume + cross).
     """
-    k = wavenumber(omega, eps, const)
+    k = wavenumber(omega, eps)
     d_vec = r - r0
     a = min(0.45 * float(np.linalg.norm(d_vec)), 2.0 / abs(k))
     ball_pts, ball_wts = _ball_rule(a)
@@ -353,13 +352,13 @@ def _volume_terms(r, r0, omega, eps, const, u_cap=None):
     # ball around s = r: s - r0 = d + u, and G(-u) = G(u)
     near_d = _gg_dagger_sum(g_u, _green_factors(d_vec + ball_pts, k), ball_wts)
     far, n_far = _far_gg_dagger_sum(d_vec, a, k, u_cap)
-    g_d = bulk_green(r, r0, omega, eps, const)
+    g_d = bulk_green(r, r0, omega, eps)
     cross = -dagger(g_d) / (3.0 * k**2) - g_d / (3.0 * np.conj(k**2))
     return near0 + near_d + far, cross, g_d, a, n_far
 
 
 def check_magic_formula(eps_model, r, r0, omega, spec=None,
-                        exclusion_radius=None, const=None):
+                        exclusion_radius=None):
     """Absorption-weighted volume integral of G G^dagger against Im G.
 
     The bulk medium is the scalar eps_model, which must absorb at omega
@@ -376,7 +375,6 @@ def check_magic_formula(eps_model, r, r0, omega, spec=None,
     uses fixed product rules and has no such estimate.
     """
     spec = spec or QuadratureSpec()
-    const = const or Constants.natural()
     eps = complex(eps_model.eval(omega))
     im_eps = eps.imag
     if im_eps <= 0.0:
@@ -387,11 +385,11 @@ def check_magic_formula(eps_model, r, r0, omega, spec=None,
     if exclusion_radius is not None and not exclusion_radius > 0.0:
         raise ValueError("exclusion_radius must be positive: the core of "
                          "G G^dagger is not integrable at the source")
-    k = wavenumber(omega, eps, const)
+    k = wavenumber(omega, eps)
     r = r3(r)
     r0 = r3(r0)
     d = float(np.linalg.norm(r - r0))
-    pref = omega**2 * im_eps / const.c**2
+    pref = omega**2 * im_eps
 
     if d == 0.0:
         b = exclusion_radius if exclusion_radius is not None else 0.5 / abs(k.real)
@@ -406,7 +404,7 @@ def check_magic_formula(eps_model, r, r0, omega, spec=None,
 
         val, err = integrate_adaptive(radial, b, r_cut, spec)
         lhs = pref * float(val) * I3
-        rhs = im_green_coincidence(omega, eps.real, const)
+        rhs = im_green_coincidence(omega, eps.real)
         meta = {
             "path": "coincidence",
             "exclusion_radius": float(b),
@@ -417,7 +415,7 @@ def check_magic_formula(eps_model, r, r0, omega, spec=None,
         }
         return make_report(lhs, rhs, meta)
 
-    volume, cross, g_d, a, n_far = _volume_terms(r, r0, omega, eps, const)
+    volume, cross, g_d, a, n_far = _volume_terms(r, r0, omega, eps)
     lhs = pref * (volume + cross)
     rhs = g_d.imag
     meta = {
@@ -453,16 +451,15 @@ def _sphere_rule(center, radius, n_theta):
     return np.asarray(center) + radius * dirs, dirs, wts
 
 
-def _surface_flux(center, radius, r, r0, omega, eps, const, n_theta):
+def _surface_flux(center, radius, r, r0, omega, eps, n_theta):
     pts, normals, wts = _sphere_rule(center, radius, n_theta)
-    k = wavenumber(omega, eps, const)
+    k = wavenumber(omega, eps)
     g_r = _bulk_green_batch(pts - np.asarray(r)[None, :], k)
     g_r0 = _bulk_green_batch(pts - np.asarray(r0)[None, :], k)
     # transverse projector I - nn on the sphere
     proj = I3[None, :, :] - normals[:, :, None] * normals[:, None, :]
     inner = np.einsum("nji,njk,nkl->nil", g_r, proj, np.conj(g_r0))
-    pref = omega * np.sqrt(eps) / const.c
-    return pref * np.einsum("n,nil->il", wts, inner)
+    return omega * np.sqrt(eps) * np.einsum("n,nil->il", wts, inner)
 
 
 def sphere_clears_points(radius, r, r0, k):
@@ -472,8 +469,7 @@ def sphere_clears_points(radius, r, r0, k):
     return radius - 0.5 * np.linalg.norm(r3(r) - r3(r0)) >= 2.0 / abs(k)
 
 
-def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None,
-                       const=None):
+def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None):
     """Closure of the volume identity on a finite ball plus its boundary.
 
     The bulk medium is the scalar eps_model and G its closed form.
@@ -485,9 +481,8 @@ def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None,
     alone is reported in extras.
     """
     spec = spec or QuadratureSpec()
-    const = const or Constants.natural()
     eps = complex(eps_model.eval(omega))
-    k = wavenumber(omega, eps, const)
+    k = wavenumber(omega, eps)
     r = r3(r)
     r0 = r3(r0)
     d = float(np.linalg.norm(r - r0))
@@ -503,10 +498,9 @@ def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None,
         )
 
     n_used = _SURFACE_N_THETA
-    surf = _surface_flux(center, radius, r, r0, omega, eps, const, n_used)
+    surf = _surface_flux(center, radius, r, r0, omega, eps, n_used)
     for _ in range(_SURFACE_DOUBLINGS):
-        finer = _surface_flux(center, radius, r, r0, omega, eps, const,
-                              2 * n_used)
+        finer = _surface_flux(center, radius, r, r0, omega, eps, 2 * n_used)
         change = max_abs(finer - surf) / max(max_abs(finer), 1e-300)
         surf = finer
         n_used *= 2
@@ -517,15 +511,15 @@ def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None,
         # far region truncated at the ellipsoid inscribed by the sphere;
         # the residual shell is exponentially suppressed by Im k * R
         vol_sum, cross, g_d, _, _ = _volume_terms(
-            r, r0, omega, eps, const, u_cap=2.0 * radius - d)
-        volume = (omega**2 * eps.imag / const.c**2) * (vol_sum + cross)
+            r, r0, omega, eps, u_cap=2.0 * radius - d)
+        volume = (omega**2 * eps.imag) * (vol_sum + cross)
         rhs = g_d.imag
     else:
         volume = np.zeros((3, 3), dtype=complex)
         if d == 0.0:
-            rhs = im_green_coincidence(omega, eps.real, const)
+            rhs = im_green_coincidence(omega, eps.real)
         else:
-            rhs = bulk_green(r, r0, omega, eps, const).imag
+            rhs = bulk_green(r, r0, omega, eps).imag
 
     lhs = volume + surf
     meta = {
@@ -543,8 +537,7 @@ def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None,
 # planar-decomposition lossless limit
 
 
-def _planar_im_integrand_pieces(omega, lateral, dz, const):
-    k = omega / const.c
+def _planar_im_integrand_pieces(k, lateral, dz):
     s_z = float(np.sign(dz))
     dz = abs(dz)
 
@@ -570,8 +563,7 @@ def _planar_im_integrand_pieces(omega, lateral, dz, const):
     return propagating, evanescent
 
 
-def check_appendix_lossless_limit(r, r0, omega, spec=None, const=None,
-                                  mu_max=None):
+def check_appendix_lossless_limit(r, r0, omega, spec=None, mu_max=None):
     """Propagating/evanescent split of Im G in vacuum against the closed
     form.
 
@@ -584,19 +576,18 @@ def check_appendix_lossless_limit(r, r0, omega, spec=None, const=None,
     estimates over 8 pi^2, the scale of lhs.
     """
     spec = spec or QuadratureSpec()
-    const = const or Constants.natural()
     disp = r3(r) - r3(r0)
     dx, dy, dz = disp
     lateral = float(np.hypot(dx, dy))
     if lateral == 0.0 and dz == 0.0:
         raise ValueError("coincidence limit: use im_green_coincidence")
-    prop, evan = _planar_im_integrand_pieces(omega, lateral, dz, const)
+    k = float(omega)
+    prop, evan = _planar_im_integrand_pieces(k, lateral, dz)
 
     val, err = integrate_adaptive(prop, 0.0, 0.5 * np.pi, spec)
     lhs_local = val / (8.0 * np.pi**2)
 
     if mu_max is None:
-        k = omega / const.c
         scale = max(abs(dz), lateral if lateral > 0.0 else abs(dz))
         mu_max = float(np.arccosh((30.0 * k + 40.0 / scale) / k))
     evan_val, evan_err = integrate_adaptive(evan, 0.0, mu_max, spec)
@@ -606,7 +597,7 @@ def check_appendix_lossless_limit(r, r0, omega, spec=None, const=None,
     cp, sp = np.cos(phi), np.sin(phi)
     rot = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
     lhs = rot @ (lhs_local + evan_local) @ rot.T
-    rhs = bulk_green(r, r0, omega, 1.0, const).imag
+    rhs = bulk_green(r, r0, omega, 1.0).imag
     meta = {
         "mu_max": float(mu_max),
         "lateral": lateral,

@@ -15,12 +15,13 @@ module marches, with memory kernel D(tau) = -C_up(tau) at w_d = omega0.
 Both shipped modes act through one real generator A(k1, k2) on the
 Bloch vector x = (rho_ee, Re rho_eg, Im rho_eg, 1), so every step map is
 an affine 4x4 matrix, applied by a sqrt(n)-blocked scan.
-'finite_memory' keeps the literal int_0^t coefficients and marches
-fixed fourth-order steps built from A, halving the step until rho_ee
-settles.  'markov' extends the coefficients to infinity, which gives a
-constant-rate Lindblad form with rates 2 pi J(w_d)(n+1), 2 pi J(w_d) n
-and a principal-value level shift; it propagates exactly with exp(h A)
-on the requested grid.
+'finite_memory' keeps the literal int_0^t coefficients, as trapezoid
+sums of the correlator tables, and marches fixed RK4 steps built from
+A, halving the step until rho_ee settles; the trapezoid makes the march
+second order.  'markov' extends the coefficients to infinity, which
+gives a constant-rate Lindblad form with rates 2 pi J(w_d)(n+1),
+2 pi J(w_d) n and a principal-value level shift; it propagates exactly
+with exp(h A) on the requested grid.
 
 Basis convention: index 0 is the excited state, index 1 the ground state.
 """
@@ -30,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import Constants, ThermalState, thermal_occupation
 from .modes import coupling_strengths
 from .numerics import (
     Grid1D,
@@ -41,12 +41,29 @@ from .numerics import (
 )
 
 
+def thermal_occupation(omega, temperature):
+    """Bose-Einstein occupation n(omega, T).
+
+    Vectorized over omega.  T = 0 returns exact zeros, no 1/0 warnings.
+    Negative omega is not meaningful here and raises.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0.0):
+        raise ValueError("thermal_occupation needs omega > 0")
+    if temperature < 0.0:
+        raise ValueError("temperature must be >= 0")
+    if temperature == 0.0:
+        return np.zeros_like(omega) if omega.ndim else 0.0
+    out = 1.0 / np.expm1(omega / temperature)
+    return out if omega.ndim else float(out)
+
+
 @dataclass
 class SpectralDensity:
     """Frequency-resolved coupling J, discrete lines or continuous density.
 
-    temperature rides along so bath correlators can be built without
-    re-threading a thermal state through every call site.
+    temperature is the bath temperature T >= 0 of the thermal occupation
+    n(omega, T) that the bath correlators weight J with.
     """
 
     provenance: str = "custom"
@@ -54,7 +71,7 @@ class SpectralDensity:
     values: Optional[np.ndarray] = None
     sampler: Optional[object] = None  # callable J(omega), vectorized
     omega_max: float = 0.0
-    temperature: Optional[ThermalState] = None
+    temperature: float = 0.0
     edge_hints: Optional[np.ndarray] = None  # sharp features of J(omega)
     metadata: dict = field(default_factory=dict)
 
@@ -77,8 +94,6 @@ class SpectralDensity:
         else:
             if self.omega_max <= 0.0:
                 raise ValueError("continuous density needs omega_max > 0")
-        if self.temperature is None:
-            self.temperature = ThermalState(0.0, Constants.natural())
 
     @property
     def is_discrete(self):
@@ -90,7 +105,7 @@ class SpectralDensity:
         return np.asarray(self.sampler(np.atleast_1d(omega)), dtype=float)
 
     def occupation(self, omega):
-        return self.temperature.occupation(omega)
+        return thermal_occupation(omega, self.temperature)
 
 
 def resonance_edge_hints(omegas, eta, omega_max):
@@ -104,7 +119,7 @@ def resonance_edge_hints(omegas, eta, omega_max):
     return edges[(edges > 0.0) & (edges < omega_max)]
 
 
-def spectral_density_nmqed(modeset, atom, temperature=None):
+def spectral_density_nmqed(modeset, atom, temperature=0.0):
     """One line per cavity mode at J_k = |g_k|^2 / hbar^2, in the mode
     set's row order, which is ascending in frequency."""
     return SpectralDensity(
@@ -116,22 +131,21 @@ def spectral_density_nmqed(modeset, atom, temperature=None):
     )
 
 
-def _lna_line_masses(modeset, atom, const):
+def _lna_line_masses(modeset, atom):
     """Noise-current arithmetic for the frequency-integrated mass of each
     softened line in the vanishing-width limit,
-    (w_k^2 / c^2) (gamma . E_k)^2 c^2 pi / (2 w_k pi hbar eps0).  The
+    w_k^2 (gamma . E_k)^2 pi / (2 w_k pi).  The
     factors are kept in this order on purpose: the route stays a distinct
     chain from the |g|^2/hbar^2 one it must agree with."""
     fields = modeset.eval_all(atom.position)
     proj = (fields @ atom.dipole) ** 2
     om = modeset.omegas
-    return (om**2 / const.c**2) * proj * const.c**2 * np.pi / (
-        2.0 * om * np.pi * const.hbar * const.eps0)
+    return om**2 * proj * np.pi / (2.0 * om * np.pi)
 
 
 def spectral_density_lna(green, atom, spec=None, omega_max=None,
-                         temperature=None, analytic_limit=False):
-    """J(omega) = (omega^2/c^2) gamma . Im G(r0, r0, omega) . gamma / (pi hbar eps0).
+                         temperature=0.0, analytic_limit=False):
+    """J(omega) = omega^2 gamma . Im G(r0, r0, omega) . gamma / pi.
 
     Continuous by default, sampled through the backend's coincidence
     Im G, one batched call per node array; a backend without
@@ -145,7 +159,6 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
     """
     spec = spec or QuadratureSpec()
     modeset = getattr(green, "modeset", None)
-    const = green.const
 
     if analytic_limit:
         if modeset is None:
@@ -153,7 +166,7 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
         return SpectralDensity(
             provenance="lna",
             omegas=modeset.omegas.copy(),
-            values=_lna_line_masses(modeset, atom, const),
+            values=_lna_line_masses(modeset, atom),
             temperature=temperature,
             metadata={"n_modes": len(modeset), "path": "analytic-limit"},
         )
@@ -166,12 +179,12 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
         omega_max = spec.omega_max
     gamma = atom.dipole
     r0 = atom.position
-    pref = 1.0 / (np.pi * const.hbar * const.eps0)
+    pref = 1.0 / np.pi
 
     def sampler(omega):
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         img = green.im_coincidence(r0, omega)
-        return pref * (omega**2 / const.c**2) * (gamma @ img @ gamma)
+        return pref * omega**2 * (gamma @ img @ gamma)
 
     hints = None
     eta = getattr(green, "eta", 0.0)
@@ -206,7 +219,7 @@ def kernel_equivalence_check(discrete, continuous, taus):
         raise ValueError(
             "continuous window ends below the highest discrete line")
     s_disc, s_cont = (
-        bath_correlations(replace(d, temperature=None), 0.0, taus).c_up
+        bath_correlations(replace(d, temperature=0.0), 0.0, taus).c_up
         for d in (discrete, continuous))
     return float(np.max(np.abs(s_disc - s_cont)))
 
@@ -245,7 +258,7 @@ def bath_correlations(density, omega_d, taus):
     channel is identically zero and is not transformed.
     """
     taus = np.asarray(taus, dtype=float)
-    thermal = density.temperature.temperature != 0.0
+    thermal = density.temperature != 0.0
 
     def channels(w, j):
         nbar = density.occupation(w)
@@ -281,9 +294,7 @@ def markov_coefficients(density, omega_d, spec=None):
                 "discrete line with finite weight exactly at omega_d; "
                 "the Markov limit does not exist")
         keep = ~resonant
-        nbar = thermal_occupation(
-            density.omegas, density.temperature.temperature,
-            density.temperature.const)
+        nbar = density.occupation(density.omegas)
         up = density.values * (nbar + 1.0)
         dn = density.values * nbar
         s_up = float(np.sum(up[keep] / detun[keep]))
@@ -292,14 +303,13 @@ def markov_coefficients(density, omega_d, spec=None):
 
     if not (0.0 < omega_d < density.omega_max):
         raise ValueError("omega_d must lie inside (0, omega_max)")
-    tstate = density.temperature
     j_d = float(density.value(omega_d)[0])
-    n_d = float(thermal_occupation(omega_d, tstate.temperature, tstate.const))
+    n_d = float(density.occupation(omega_d))
 
     # up and down share the density samples: one two-component PV (at
     # T = 0 the occupation is 0 and the down component is 0.0 exactly)
     def f_updn(w):
-        n = tstate.occupation(w)
+        n = density.occupation(w)
         return (density.value(w)[:, None] * np.stack([n + 1.0, n], axis=1)
                 / (w - omega_d)[:, None])
 
@@ -461,9 +471,10 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
     (constant-rate Lindblad form), propagated exactly with exp(h A) on
     the requested grid; trace or positivity violation raises
     RuntimeError with the offending time.  mode 'finite_memory': literal
-    int_0^t coefficients from correlator tables, fourth-order steps;
-    violations are recorded as warnings, since equations of this type
-    may transiently leave the state space.  The step is halved until
+    int_0^t coefficients as trapezoid sums of correlator tables, RK4
+    steps (second order overall, from the trapezoid); violations are
+    recorded as warnings, since equations of this type may transiently
+    leave the state space.  The step is halved until
     rho_ee changes by <= tol between refinements; tol and
     max_refinements apply to this mode only.
     """

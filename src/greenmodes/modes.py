@@ -23,7 +23,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .constants import Constants
 from .permittivity import ConstantScalar, PermittivityModel
 from .tensors import r3
 
@@ -89,11 +88,10 @@ class ModeSet:
     shells.
     """
 
-    def __init__(self, geometry, idx, omegas, kvecs, amplitudes, const=None):
+    def __init__(self, geometry, idx, omegas, kvecs, amplitudes):
         if not len(omegas):
             raise ValueError("empty mode set")
         self.geometry = geometry
-        self.const = const or Constants.natural()
         order = np.lexsort((idx[:, 3], idx[:, 2], idx[:, 1], idx[:, 0],
                             omegas))
         self.idx, self.omegas, self.kvecs, self.amplitudes = (
@@ -111,7 +109,7 @@ class ModeSet:
     def subset(self, indices):
         sel = np.asarray(indices, dtype=np.int64).reshape(-1)
         return ModeSet(self.geometry, self.idx[sel], self.omegas[sel],
-                       self.kvecs[sel], self.amplitudes[sel], self.const)
+                       self.kvecs[sel], self.amplitudes[sel])
 
     def eval_all(self, r):
         """All mode fields at one point, shape (n_modes, 3)."""
@@ -155,7 +153,7 @@ class ModeSet:
         return self.geometry.eps_b * total
 
 
-def build_pec_box_modes(geometry, n_max, const=None):
+def build_pec_box_modes(geometry, n_max):
     """All transverse box modes with max(m, n, p) <= n_max.
 
     Mode count is 2 n_max^3 + 3 n_max^2 (two branches for all-nonzero
@@ -165,7 +163,6 @@ def build_pec_box_modes(geometry, n_max, const=None):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    const = const or Constants.natural()
     eps_b = geometry.eps_b
     vol = geometry.volume
     grid = np.arange(n_max + 1)
@@ -178,7 +175,7 @@ def build_pec_box_modes(geometry, n_max, const=None):
     # the stacked matmul reproduces np.linalg.norm of each row bitwise,
     # which keeps degenerate shells in the same order
     knorm = np.sqrt((k[:, None, :] @ k[:, :, None])[:, 0, 0])
-    omega = const.c * knorm / np.sqrt(eps_b)
+    omega = knorm / np.sqrt(eps_b)
 
     # exactly one zero index: a single branch along that axis
     amp0 = np.zeros((np.count_nonzero(one), 3))
@@ -200,8 +197,7 @@ def build_pec_box_modes(geometry, n_max, const=None):
         geometry, idx,
         np.concatenate([omega[one], omega[~one], omega[~one]]),
         np.concatenate([k[one], kk, kk]),
-        np.concatenate([amp0, a1 * scale, a2 * scale]),
-        const)
+        np.concatenate([amp0, a1 * scale, a2 * scale]))
 
 
 def coupling_strengths(modeset, atom):
@@ -212,7 +208,5 @@ def coupling_strengths(modeset, atom):
     """
     if not modeset.geometry.contains(atom.position):
         raise ValueError("atom position outside the cavity")
-    const = modeset.const
-    fields = modeset.eval_all(atom.position)
-    proj = fields @ atom.dipole
-    return modeset.omegas * proj**2 / (2.0 * const.hbar * const.eps0)
+    proj = modeset.eval_all(atom.position) @ atom.dipole
+    return modeset.omegas * proj**2 / 2.0

@@ -42,9 +42,9 @@ class TailTruncationWarning(UserWarning):
 class QuadratureSpec:
     """Tolerances and truncation knobs shared by the integral routines.
 
-    omega_max truncates frequency integrals (in units of the scenario
-    reference frequency), pv_excision is the starting half-width for
-    principal-value excision, eta softens mode-sum poles.
+    omega_max truncates frequency integrals, pv_excision is the starting
+    half-width for principal-value excision, eta softens mode-sum poles.
+    All three are absolute frequencies in natural units.
     """
 
     abs_tol: float = 1e-10

@@ -21,10 +21,8 @@ from greenmodes import (
     CavityGeometry,
     CavityModeSum,
     ConstantScalar,
-    Constants,
     DrudeLorentz,
     SpectralDensity,
-    ThermalState,
     TwoLevelAtom,
     bath_correlations,
     build_pec_box_modes,
@@ -411,10 +409,9 @@ def test_accept_master_routes(tmp_path):
     lindblad_rel = np.max(np.abs(traj.rho_ee - expect) / expect)
 
     # thermal balance: occupation ratio against the Boltzmann factor
-    temp = ThermalState(2.0, Constants.natural())
     dens_t = SpectralDensity(sampler=lambda w: gsq * np.asarray(w) ** 3
                              / (6.0 * np.pi**2), omega_max=2.0,
-                             temperature=temp)
+                             temperature=2.0)
     ground = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     traj_t = evolve_master_equation(atom, dens_t, ground, 90.0, 2000,
                                     mode="markov")

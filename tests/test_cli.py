@@ -372,7 +372,7 @@ def test_ww_overflowing_cavity_eta_exits_schema(tmp_path, capsys):
     err = _assert_error(code, cli.EXIT_SCHEMA, "schema", capsys)
     assert err["error"]["type"] == "ValueError"
     assert "eta" in err["error"]["message"]
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_non_finite_conversion_integrand_exits_numeric(tmp_path, capsys):
@@ -421,7 +421,29 @@ def test_memory_error_exits_numeric(tmp_path, capsys, monkeypatch):
     err = _assert_error(code, cli.EXIT_NUMERIC, "memory", capsys)
     assert err["error"]["type"] == "MemoryError"
     assert "Unable to allocate" in err["error"]["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existing", [True, False],
+                         ids=["existing-out", "nested-new-out"])
+def test_failed_run_removes_only_the_out_it_made(tmp_path, capsys,
+                                                 monkeypatch, existing):
+    # a failed run leaves no empty --out behind, but a directory that was
+    # there before the run is kept
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 PiB for an array")
+
+    monkeypatch.setattr(cli, "build_pec_box_modes", refuse)
+    cfg = write_scenario(tmp_path / "cube.json", cube_scenario(name="oom"))
+    parent = tmp_path / "parent"
+    out = parent if existing else parent / "a" / "b"
+    if existing:
+        parent.mkdir()
+    code = run(["modes", "--config", cfg, "--out", out, "--quiet"])
+    _assert_error(code, cli.EXIT_NUMERIC, "memory", capsys)
+    assert parent.is_dir() == existing
+    if existing:
+        assert list(parent.iterdir()) == []
 
 
 def test_ww_on_sommerfeld_backend_exits_schema(tmp_path, capsys):
@@ -432,7 +454,7 @@ def test_ww_on_sommerfeld_backend_exits_schema(tmp_path, capsys):
     code = run(["ww", "--config", cfg, "--out", out, "--quiet",
                 "--set", "backend.type=sommerfeld"])
     err = _assert_error(code, cli.EXIT_SCHEMA, "schema", capsys)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     assert err["error"]["type"] == "ValueError"
     assert "BulkSommerfeld" in err["error"]["message"]
 
@@ -517,6 +539,8 @@ def _assert_schema_error_without_work(code, capsys, calls, out):
                   '"n_max": 2, "eta": 0.01}', "backend.type=mode_sum")),
     ("accept10", "geometry.lengths=[1,0,1]"),
     ("accept07", "surface.radii=[0.5]"),
+    # the one unit system is natural units: a units block is unknown
+    ("accept01", 'units={"system": "natural"}'),
 ], ids=["master-last-block", "ww-t_max", "nmqed-analytic_limit",
         "nmqed-omega_max", "nmqed-backend-type", "closed-form-k_max",
         "magic-geometry-type", "ww-t_max-zero", "omega0-zero",
@@ -526,7 +550,7 @@ def _assert_schema_error_without_work(code, capsys, calls, out):
         "nmqed-kernel-analytic_limit-true", "nmqed-bath-omega_max",
         "p1-point-outside-box", "ww-atom-outside-box",
         "master-atom-outside-box", "green-point-outside-box",
-        "box-length-zero", "surface-sphere-too-small"])
+        "box-length-zero", "surface-sphere-too-small", "units-block"])
 def test_schema_error_exits_before_any_work(tmp_path, capsys, monkeypatch,
                                             tag, override):
     calls = []

@@ -1,29 +1,16 @@
-"""Constants, tensor helpers, permittivity models, atom container."""
+"""Thermal occupation, tensor helpers, permittivity models, atom container."""
 
 import numpy as np
 import pytest
 
 from greenmodes import (
     ConstantScalar,
-    Constants,
     DrudeLorentz,
     Drive,
-    ThermalState,
     TwoLevelAtom,
     thermal_occupation,
 )
 from greenmodes.tensors import dagger, is_psd, r3
-
-
-def test_natural_units_are_unity():
-    c = Constants.natural()
-    assert c.hbar == 1.0 and c.c == 1.0 and c.eps0 == 1.0 and c.kB == 1.0
-
-
-def test_si_preset_light_speed():
-    c = Constants.si()
-    assert c.c == 299792458.0
-    assert 1.0e-34 < c.hbar < 1.1e-34
 
 
 def test_dagger_involution_exact(rng):
@@ -79,28 +66,22 @@ def test_gain_rejected():
         DrudeLorentz(poles=[(1.0, 1.0, -0.1)])
 
 
-# -- thermal state ---------------------------------------------------------
+# -- thermal occupation --------------------------------------------------------
 
 
 def test_thermal_occupation_planck_formula():
-    c = Constants.natural()
     w, t = 1.3, 0.7
     expect = 1.0 / (np.exp(w / t) - 1.0)
-    assert abs(thermal_occupation(w, t, c) - expect) < 1e-14
+    assert abs(thermal_occupation(w, t) - expect) < 1e-14
 
 
 def test_thermal_occupation_zero_temperature_is_exact_zero():
-    assert thermal_occupation(2.0, 0.0, Constants.natural()) == 0.0
+    assert thermal_occupation(2.0, 0.0) == 0.0
 
 
 def test_thermal_occupation_rejects_nonpositive_frequency():
     with pytest.raises(ValueError):
-        thermal_occupation(0.0, 1.0, Constants.natural())
-
-
-def test_thermal_state_carries_occupation():
-    ts = ThermalState(0.5, Constants.natural())
-    assert abs(ts.occupation(1.0) - 1.0 / (np.exp(2.0) - 1.0)) < 1e-14
+        thermal_occupation(0.0, 1.0)
 
 
 # -- atom ------------------------------------------------------------------

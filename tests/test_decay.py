@@ -10,10 +10,8 @@ from greenmodes import (
     BulkClosedForm,
     CavityModeSum,
     ConstantScalar,
-    Constants,
     QuadratureSpec,
     SpectralDensity,
-    ThermalState,
     bath_correlations,
     coupling_strengths,
     fit_rate_and_shift,
@@ -58,7 +56,7 @@ def test_kernel_validation():
         markov_rate_and_shift(lines([1.5], [0.1]), -1.0)
 
 
-HOT = ThermalState(1.0, Constants.natural())
+HOT = 1.0
 
 
 @pytest.mark.parametrize("density", [lines([1.4], [0.1], temperature=HOT),

@@ -240,7 +240,7 @@ def test_cavity_green_function_wrapper(cube_modeset):
 @pytest.mark.parametrize("fixture", ["cube_modeset", "box_modeset"])
 def test_mode_sum_matches_per_mode_reference(fixture, request):
     # degenerate modes share one denominator: the merged lines must give
-    # the plain per-mode sum c^2 (1 / denom_k) @ (E_k E_k^T) to rounding;
+    # the plain per-mode sum (1 / denom_k) @ (E_k E_k^T) to rounding;
     # both sides round sums of up to 540 terms, about sqrt(540) eps of
     # the absolute sum, so the bound is 32 eps of it
     modeset = request.getfixturevalue(fixture)
@@ -252,8 +252,8 @@ def test_mode_sum_matches_per_mode_reference(fixture, request):
     def per_mode(a, b, lines):
         pairs = (modeset.eval_all(a)[:, :, None]
                  * modeset.eval_all(b)[:, None, :]).reshape(-1, 9)
-        terms = modeset.const.c**2 * (lines @ pairs)
-        scale = modeset.const.c**2 * (np.abs(lines) @ np.abs(pairs))
+        terms = lines @ pairs
+        scale = np.abs(lines) @ np.abs(pairs)
         return terms.reshape(-1, 3, 3), scale.reshape(-1, 3, 3)
 
     eps = np.finfo(float).eps

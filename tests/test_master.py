@@ -16,10 +16,8 @@ from greenmodes import (
     BulkSommerfeld,
     CavityModeSum,
     ConstantScalar,
-    Constants,
     Drive,
     SpectralDensity,
-    ThermalState,
     bath_correlations,
     coupling_strengths,
     evolve_master_equation,
@@ -80,7 +78,7 @@ def test_density_validation():
 
 def test_density_defaults_to_zero_temperature():
     dens = SpectralDensity(omegas=np.array([1.0]), values=np.array([0.1]))
-    assert dens.temperature.temperature == 0.0
+    assert dens.temperature == 0.0
     assert dens.occupation(1.0) == 0.0
     with pytest.raises(ValueError):
         dens.value(1.0)
@@ -184,9 +182,8 @@ def test_kernel_equivalence_validation(cube_modeset):
 
 
 def test_bath_correlations_single_line():
-    temp = ThermalState(2.0, Constants.natural())
     dens = SpectralDensity(omegas=np.array([1.4]), values=np.array([0.25]),
-                           temperature=temp)
+                           temperature=2.0)
     taus = np.linspace(0.0, 3.0, 31)
     corr = bath_correlations(dens, 1.0, taus)
     nbar = 1.0 / np.expm1(1.4 / 2.0)
@@ -228,9 +225,8 @@ def test_markov_coefficients_zero_temperature():
 
 
 def test_markov_coefficients_thermal():
-    temp = ThermalState(2.0, Constants.natural())
     dens = SpectralDensity(sampler=vacuum_sampler, omega_max=2.0,
-                           temperature=temp)
+                           temperature=2.0)
     k1, k2 = markov_coefficients(dens, 1.0)
     j1 = np.pi * float(vacuum_sampler(1.0))
     nbar = 1.0 / np.expm1(0.5)
@@ -282,9 +278,8 @@ def test_coherence_decay_carries_level_shift():
 
 
 def test_detailed_balance_at_finite_temperature():
-    temp = ThermalState(2.0, Constants.natural())
     dens = SpectralDensity(sampler=vacuum_sampler, omega_max=2.0,
-                           temperature=temp)
+                           temperature=2.0)
     atom = make_atom(position=(0.0, 0.0, 0.0), dipole=(0.0, 0.0, 0.6))
     traj = evolve_master_equation(atom, dens, GROUND, 90.0, 2000,
                                   mode="markov")
@@ -294,6 +289,24 @@ def test_detailed_balance_at_finite_temperature():
     nbar = 1.0 / np.expm1(0.5)
     ss = traj.steady_state()
     assert abs(ss[0, 0].real - nbar / (2.0 * nbar + 1.0)) < 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(omega=st.floats(0.2, 1.8), temperature=st.floats(0.05, 10.0))
+def test_detailed_balance_on_random_inputs(omega, temperature):
+    # downward over upward weight is the Boltzmann factor exp(-w / T):
+    # in the Markov rates of a continuous density at w_d = w and in the
+    # correlators of a single line at w
+    boltzmann = np.exp(-omega / temperature)
+    dens = SpectralDensity(sampler=vacuum_sampler, omega_max=2.0,
+                           temperature=temperature)
+    k1, k2 = markov_coefficients(dens, omega)
+    assert abs(k2.real / k1.real - boltzmann) <= 1e-12 * boltzmann
+    line = SpectralDensity(omegas=np.array([omega]), values=np.array([0.25]),
+                           temperature=temperature)
+    corr = bath_correlations(line, 1.0, np.linspace(0.0, 3.0, 7))
+    assert np.max(np.abs(corr.c_dn / corr.c_up - boltzmann)) \
+        <= 1e-12 * boltzmann
 
 
 def test_driven_steady_state_includes_shift():
@@ -502,19 +515,18 @@ def test_bloch_march_matches_complex_liouvillian_loop(
     # steps of at most 0.05 keep h |A| well inside the RK4 stability
     # region, where rounding is not amplified
     t_max = min(t_max, 0.05 * n)
-    temp = ThermalState(temperature, Constants.natural())
     if mode == "markov":
         # a continuous thermal density: both Lindblad rates and both
         # level shifts are nonzero
         dens = SpectralDensity(
             sampler=lambda w: scale * vacuum_sampler(w), omega_max=2.0,
-            temperature=temp)
+            temperature=temperature)
     else:
         # discrete thermal lines: complex k1, k2 tables from the phase sum
         lines = sorted(lines)
         dens = SpectralDensity(omegas=np.array([w for w, _ in lines]),
                                values=np.array([j for _, j in lines]),
-                               temperature=temp)
+                               temperature=temperature)
     atom = make_atom(position=(0.0, 0.0, 0.0), dipole=(0.0, 0.0, 0.6),
                      drive=Drive(omega_L=1.0 - detuning, rabi=rabi))
     radius, theta, phi = bloch
