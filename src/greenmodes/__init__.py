@@ -56,7 +56,6 @@ from .modes import (
 )
 from .numerics import (
     ConvergenceError,
-    Grid1D,
     QuadratureSpec,
     TailTruncationWarning,
     integrate_adaptive,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .master import bath_correlations, markov_coefficients
-from .numerics import Grid1D, volterra_march
+from .numerics import volterra_march
 
 
 def _check_decay(density, omega0):
@@ -29,16 +29,12 @@ def _check_decay(density, omega0):
 
 @dataclass
 class DecayResult:
-    grid: Grid1D
+    times: np.ndarray
     c_es: np.ndarray
     population: np.ndarray
     markov_fit: Optional[tuple] = None
     march_error: Optional[float] = None
     march_error_reason: Optional[str] = None  # why march_error is None
-
-    @property
-    def times(self):
-        return self.grid.points
 
 
 def fit_rate_and_shift(times, c_es, lo_frac=0.35, hi_frac=0.95):
@@ -77,23 +73,24 @@ def solve_volterra(density, omega0, t_max, n_steps, fit_window=None):
         raise ValueError("n_steps must be >= 10")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    grid = Grid1D(0.0, float(t_max), int(n_steps) + 1)
-    ktab = -bath_correlations(density, omega0, grid.points).c_up
+    times = np.linspace(0.0, float(t_max), int(n_steps) + 1)
+    h = float(t_max) / int(n_steps)
+    ktab = -bath_correlations(density, omega0, times).c_up
     try:
-        y = volterra_march(ktab, grid.h)
+        y = volterra_march(ktab, h)
     except RuntimeError as exc:
         raise RuntimeError(
             "volterra march unstable (%s); reduce the step t_max/n_steps"
             % exc) from None
     try:
-        coarse = volterra_march(ktab[::2], 2.0 * grid.h)
+        coarse = volterra_march(ktab[::2], 2.0 * h)
         err, reason = float(np.max(np.abs(y[::2] - coarse))) / 3.0, None
     except RuntimeError as exc:
         err, reason = None, "no step-halving estimate: the 2h %s" % exc
     fit = None
     if fit_window is not None:
-        fit = fit_rate_and_shift(grid.points, y, *fit_window)
-    return DecayResult(grid, y, np.abs(y) ** 2, fit, err, reason)
+        fit = fit_rate_and_shift(times, y, *fit_window)
+    return DecayResult(times, y, np.abs(y) ** 2, fit, err, reason)
 
 
 def markov_rate_and_shift(density, omega0, spec=None):

@@ -13,12 +13,14 @@ delta-function term is excluded everywhere; the volume identity writes
 its cross term in closed form (identities._volume_terms).
 
 The backends are plain classes: all three have evaluate(r, r0, omega);
-the closed form and the mode sum also have im_coincidence.
+the closed form and the mode sum also have im_coincidence(r), which
+returns the function omega -> Im G(r, r, omega), so the mode sum builds
+its point's line spectrum once however often that function is sampled.
 """
 
 import numpy as np
 
-from .numerics import QuadratureSpec, merge_lines, sommerfeld_radial
+from .numerics import QuadratureSpec, sommerfeld_radial
 from .tensors import I3, r3
 
 
@@ -151,10 +153,15 @@ def bulk_green_sommerfeld(r, r0, omega, eps, spec=None, k_max_multiplier=30.0):
         return _sommerfeld_integrand(kpar, k, lateral, abs(dz), sign_z)
 
     g_local, _err = sommerfeld_radial(f, k, k_max, spec)
+    rot = _z_rotation(dx, dy)
+    return rot @ g_local @ rot.T
+
+
+def _z_rotation(dx, dy):
+    """Rotation about z taking the x axis to the direction (dx, dy)."""
     phi = np.arctan2(dy, dx)
     cp, sp = np.cos(phi), np.sin(phi)
-    rot = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
-    return rot @ g_local @ rot.T
+    return np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
 
 
 class ResonanceError(RuntimeError):
@@ -186,16 +193,16 @@ def cavity_green(r, r0, omega, modeset, eta=0.0):
 
 
 def _mode_pairs(modeset, r, r0):
-    """(lines, pairs): the distinct mode frequencies and the sum of
+    """(lines, pairs): the mode set's lines and the sum of
     E_k(r) E_k(r0)^T over the modes of each, flattened to (len(lines), 9);
-    degenerate modes share one resonance denominator (merge_lines)."""
+    degenerate modes share one resonance denominator (ModeSet.lines)."""
     geom = modeset.geometry
     if not (geom.contains(r) and geom.contains(r0)):
         raise ValueError("points must lie inside the cavity")
     fr = modeset.eval_all(r)
     f0 = fr if np.array_equal(r3(r), r3(r0)) else modeset.eval_all(r0)
-    return merge_lines(modeset.omegas,
-                       (fr[:, :, None] * f0[:, None, :]).reshape(len(fr), 9))
+    return modeset.lines, modeset.line_sums(
+        (fr[:, :, None] * f0[:, None, :]).reshape(len(fr), 9))
 
 
 class BulkClosedForm:
@@ -205,14 +212,15 @@ class BulkClosedForm:
     def evaluate(self, r, r0, omega):
         return bulk_green(r, r0, omega, self.eps_model.eval(omega))
 
-    def im_coincidence(self, r, omega):
-        """Im G(r, r, omega), finite in a lossless medium only.
+    def im_coincidence(self, r):
+        """omega -> Im G(r, r, omega), finite in a lossless medium only.
 
         A scalar omega gives (3, 3); a 1-d array of n frequencies gives
         (n, 3, 3) from one batched evaluation, equal to the stacked
-        scalar calls.
+        scalar calls.  A homogeneous medium's value does not depend on r.
         """
-        return im_green_coincidence(omega, self.eps_model.eval(omega))
+        return lambda omega: im_green_coincidence(
+            omega, self.eps_model.eval(omega))
 
 
 class BulkSommerfeld:
@@ -237,19 +245,24 @@ class CavityModeSum:
     def evaluate(self, r, r0, omega):
         return cavity_green(r, r0, omega, self.modeset, self.eta)
 
-    def im_coincidence(self, r, omega):
-        """L @ (E E^T), L = eta w / ((w_k^2 - w^2)^2 + eta^2 w^2),
-        one Lorentzian row per distinct mode frequency."""
+    def im_coincidence(self, r):
+        """omega -> L @ (E E^T), L = eta w / ((w_k^2 - w^2)^2 + eta^2 w^2),
+        one Lorentzian row per line; the point's line spectrum (lines and
+        summed dyads) is built here, once."""
         if self.eta == 0.0:
             raise ValueError(
                 "mode-sum Im G at coincidence needs eta > 0 (discrete poles)"
             )
         lines, pairs = _mode_pairs(self.modeset, r, r)
-        w = np.asarray(omega, dtype=float)[..., None]
-        x = self.eta * w
-        x2 = x * x
-        if not np.all(np.isfinite(x2)):
-            raise ValueError(
-                "eta = %g too large: (eta omega)^2 overflows" % self.eta)
-        lor = x / ((lines**2 - w**2) ** 2 + x2)
-        return (lor @ pairs).reshape(w.shape[:-1] + (3, 3))
+
+        def im_g(omega):
+            w = np.asarray(omega, dtype=float)[..., None]
+            x = self.eta * w
+            x2 = x * x
+            if not np.all(np.isfinite(x2)):
+                raise ValueError(
+                    "eta = %g too large: (eta omega)^2 overflows" % self.eta)
+            lor = x / ((lines**2 - w**2) ** 2 + x2)
+            return (lor @ pairs).reshape(w.shape[:-1] + (3, 3))
+
+        return im_g

@@ -37,6 +37,7 @@ from .greens import (
     _bulk_green_batch,
     _green_coefficients,
     _green_factors,
+    _z_rotation,
     bulk_green,
     im_green_coincidence,
     wavenumber,
@@ -120,11 +121,11 @@ def check_conversion_p1(modeset, r, r0, spec=None, eta=None, omega_max=None,
     exact eta -> 0 limit w_k/2, making lhs equal rhs to rounding; the
     default 'softened' path integrates numerically, so the residual
     measures softening plus truncation error (linear in eta).  The
-    softened path groups degenerate modes by frequency and integrates
-    the scalar weights of all frequencies in one adaptive call (see
-    _lorentzian_weights); metadata quad_error is that call's G7-K15
-    error estimate over pi (0.0 on the analytic path, which has no
-    quadrature).
+    softened path integrates one scalar weight per line of the mode set
+    (ModeSet.lines), all in one adaptive call (see _lorentzian_weights),
+    and gives each mode its line's weight; metadata quad_error is that
+    call's G7-K15 error estimate over pi (0.0 on the analytic path,
+    which has no quadrature).
     """
     spec = spec or QuadratureSpec()
     if eta is None:
@@ -147,12 +148,9 @@ def check_conversion_p1(modeset, r, r0, spec=None, eta=None, omega_max=None,
     else:
         if eta <= 0.0:
             raise ValueError("softened path needs eta > 0")
-        # degenerate shells share the scalar integral; group by frequency
-        rounded = np.round(omegas, 9)
-        uniq, inverse = np.unique(rounded, return_inverse=True)
-        per_uniq, quad_error = _lorentzian_weights(uniq, eta, omega_max,
-                                                   spec)
-        weights = per_uniq[inverse]
+        per_line, quad_error = _lorentzian_weights(modeset.lines, eta,
+                                                   omega_max, spec)
+        weights = per_line[modeset.line_of]
     lhs = np.einsum("m,mi,mj->ij", weights, fr, f0)
 
     meta = {
@@ -178,6 +176,19 @@ _SURFACE_N_THETA = 16
 _SURFACE_DOUBLINGS = 3
 
 
+def _sphere_directions(n_theta, n_phi):
+    """Unit vectors on the Gauss cos(theta) x trapezoid phi grid, shape
+    (n_theta, n_phi, 3), with the cos(theta) weights and the phi step."""
+    ct, wt = gauss_legendre(n_theta)
+    st = np.sqrt(1.0 - ct**2)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    dirs = np.empty((n_theta, n_phi, 3))
+    dirs[..., 0] = st[:, None] * np.cos(phi)[None, :]
+    dirs[..., 1] = st[:, None] * np.sin(phi)[None, :]
+    dirs[..., 2] = ct[:, None]
+    return dirs, wt, 2.0 * np.pi / n_phi
+
+
 def _ball_rule(radius):
     """Product rule for a ball at the origin: Gauss radial x Gauss cos(theta)
     x trapezoid phi.  Angular symmetry integrates direction dyads exactly,
@@ -186,14 +197,7 @@ def _ball_rule(radius):
     xr, wr = gauss_legendre(n_r)
     rho = 0.5 * radius * (xr + 1.0)
     w_rho = 0.5 * radius * wr * rho**2
-    ct, wt = gauss_legendre(n_t)
-    st = np.sqrt(1.0 - ct**2)
-    phi = 2.0 * np.pi * np.arange(n_p) / n_p
-    w_phi = 2.0 * np.pi / n_p
-    dirs = np.empty((n_t, n_p, 3))
-    dirs[..., 0] = st[:, None] * np.cos(phi)[None, :]
-    dirs[..., 1] = st[:, None] * np.sin(phi)[None, :]
-    dirs[..., 2] = ct[:, None] * np.ones_like(phi)[None, :]
+    dirs, wt, w_phi = _sphere_directions(n_t, n_p)
     pts = rho[:, None, None, None] * dirs[None, :, :, :]
     wts = np.broadcast_to(
         w_rho[:, None, None] * wt[None, :, None] * w_phi, (n_r, n_t, n_p))
@@ -437,15 +441,8 @@ def check_magic_formula(eps_model, r, r0, omega, spec=None,
 
 
 def _sphere_rule(center, radius, n_theta):
-    ct, wt = gauss_legendre(n_theta)
-    st = np.sqrt(1.0 - ct**2)
     n_phi = 2 * n_theta
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * np.pi / n_phi
-    dirs = np.empty((n_theta, n_phi, 3))
-    dirs[..., 0] = st[:, None] * np.cos(phi)[None, :]
-    dirs[..., 1] = st[:, None] * np.sin(phi)[None, :]
-    dirs[..., 2] = ct[:, None] * np.ones_like(phi)[None, :]
+    dirs, wt, w_phi = _sphere_directions(n_theta, n_phi)
     dirs = dirs.reshape(-1, 3)
     wts = (wt[:, None] * np.full((1, n_phi), w_phi)).reshape(-1) * radius**2
     return np.asarray(center) + radius * dirs, dirs, wts
@@ -593,9 +590,7 @@ def check_appendix_lossless_limit(r, r0, omega, spec=None, mu_max=None):
     evan_val, evan_err = integrate_adaptive(evan, 0.0, mu_max, spec)
     evan_local = evan_val / (8.0 * np.pi**2)
 
-    phi = np.arctan2(dy, dx)
-    cp, sp = np.cos(phi), np.sin(phi)
-    rot = np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
+    rot = _z_rotation(dx, dy)
     lhs = rot @ (lhs_local + evan_local) @ rot.T
     rhs = bulk_green(r, r0, omega, 1.0).imag
     meta = {

@@ -6,11 +6,12 @@ whose coefficients are time integrals of two bath correlators,
     C_up(tau) = S[ J(w) (n(w)+1) exp(-i (w - w_d) tau) ],
     C_dn(tau) = S[ J(w)  n(w)    exp(-i (w - w_d) tau) ],
 
-with S either a mode sum (discrete density; lines at equal frequencies
-share one exponential row) or a frequency integral (continuous density)
-and w_d the transition frequency.  A SpectralDensity is the one
-spectral weight of the package: at T = 0 it is also what the decay
-module marches, with memory kernel D(tau) = -C_up(tau) at w_d = omega0.
+with S either a sum over lines (discrete density: one entry per line of
+the cavity's ModeSet, degenerate modes summed into it) or a frequency
+integral (continuous density) and w_d the transition frequency.  A
+SpectralDensity is the one spectral weight of the package: at T = 0 it
+is also what the decay module marches, with memory kernel
+D(tau) = -C_up(tau) at w_d = omega0.
 
 Both shipped modes act through one real generator A(k1, k2) on the
 Bloch vector x = (rho_ee, Re rho_eg, Im rho_eg, 1), so every step map is
@@ -32,13 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .modes import coupling_strengths
-from .numerics import (
-    Grid1D,
-    QuadratureSpec,
-    fourier_table,
-    integrate_pv,
-    phase_sum,
-)
+from .numerics import QuadratureSpec, fourier_table, integrate_pv, phase_sum
 
 
 def thermal_occupation(omega, temperature):
@@ -54,7 +49,10 @@ def thermal_occupation(omega, temperature):
         raise ValueError("temperature must be >= 0")
     if temperature == 0.0:
         return np.zeros_like(omega) if omega.ndim else 0.0
-    out = 1.0 / np.expm1(omega / temperature)
+    # past omega / T ~ 710 expm1 overflows to inf, and 1 / inf = 0 is
+    # the occupation to double precision: not a failure
+    with np.errstate(over="ignore"):
+        out = 1.0 / np.expm1(omega / temperature)
     return out if omega.ndim else float(out)
 
 
@@ -87,8 +85,8 @@ class SpectralDensity:
                 raise ValueError("empty line list")
             if np.any(self.omegas <= 0.0):
                 raise ValueError("line frequencies must be positive")
-            if np.any(np.diff(self.omegas) < 0.0):
-                raise ValueError("line frequencies must be sorted")
+            if np.any(np.diff(self.omegas) <= 0.0):
+                raise ValueError("line frequencies must be strictly increasing")
             if np.any(self.values < 0.0):
                 raise ValueError("negative spectral density")
         else:
@@ -108,24 +106,23 @@ class SpectralDensity:
         return thermal_occupation(omega, self.temperature)
 
 
-def resonance_edge_hints(omegas, eta, omega_max):
-    """Panel edges bracketing softened lines at omegas with half width
-    ~eta, geometric on both sides so a fixed Gauss rule resolves the core
-    and the algebraic tails."""
-    uniq = np.unique(np.round(np.asarray(omegas, dtype=float), 9))
+def resonance_edge_hints(lines, eta, omega_max):
+    """Panel edges bracketing softened lines (ModeSet.lines) with half
+    width ~eta, geometric on both sides so a fixed Gauss rule resolves
+    the core and the algebraic tails."""
     offs = eta * np.array(
         [-1000.0, -200.0, -50.0, -10.0, -3.0, 0.0, 3.0, 10.0, 50.0, 200.0, 1000.0])
-    edges = (uniq[:, None] + offs[None, :]).ravel()
+    edges = (np.asarray(lines)[:, None] + offs[None, :]).ravel()
     return edges[(edges > 0.0) & (edges < omega_max)]
 
 
 def spectral_density_nmqed(modeset, atom, temperature=0.0):
-    """One line per cavity mode at J_k = |g_k|^2 / hbar^2, in the mode
-    set's row order, which is ascending in frequency."""
+    """One entry per line of the mode set (ModeSet.lines, ascending),
+    J the sum of |g_k|^2 / hbar^2 over the line's modes."""
     return SpectralDensity(
         provenance="nmqed",
-        omegas=modeset.omegas.copy(),
-        values=coupling_strengths(modeset, atom),
+        omegas=modeset.lines,
+        values=modeset.line_sums(coupling_strengths(modeset, atom)),
         temperature=temperature,
         metadata={"n_modes": len(modeset)},
     )
@@ -153,9 +150,11 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
     before any sampling.  A softened mode-sum backend gets panel edges
     at its lines so tabulations do not step over them, and a lossy
     medium at the atom position raises through the backend.
-    analytic_limit=True needs a cavity mode-sum backend and returns the
-    discrete line masses instead (the vanishing-softening limit taken
-    analytically, line by line).
+    The backend's im_coincidence(r0) is called once, here, and the
+    sampler reuses the function it returns.  analytic_limit=True needs a
+    cavity mode-sum backend and returns the discrete line masses instead
+    (the vanishing-softening limit taken analytically, line by line),
+    one entry per line of its ModeSet.
     """
     spec = spec or QuadratureSpec()
     modeset = getattr(green, "modeset", None)
@@ -165,8 +164,8 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
             raise ValueError("analytic_limit needs a cavity mode-sum backend")
         return SpectralDensity(
             provenance="lna",
-            omegas=modeset.omegas.copy(),
-            values=_lna_line_masses(modeset, atom),
+            omegas=modeset.lines,
+            values=modeset.line_sums(_lna_line_masses(modeset, atom)),
             temperature=temperature,
             metadata={"n_modes": len(modeset), "path": "analytic-limit"},
         )
@@ -178,18 +177,17 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
     if omega_max is None:
         omega_max = spec.omega_max
     gamma = atom.dipole
-    r0 = atom.position
+    im_g = green.im_coincidence(atom.position)
     pref = 1.0 / np.pi
 
     def sampler(omega):
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        img = green.im_coincidence(r0, omega)
-        return pref * omega**2 * (gamma @ img @ gamma)
+        return pref * omega**2 * (gamma @ im_g(omega) @ gamma)
 
     hints = None
     eta = getattr(green, "eta", 0.0)
     if modeset is not None and eta > 0.0:
-        hints = resonance_edge_hints(modeset.omegas, eta, float(omega_max))
+        hints = resonance_edge_hints(modeset.lines, eta, float(omega_max))
 
     return SpectralDensity(
         provenance="lna",
@@ -212,8 +210,7 @@ def kernel_equivalence_check(discrete, continuous, taus):
     if not discrete.is_discrete:
         raise ValueError("first argument must be a discrete density")
     if continuous.is_discrete:
-        if continuous.omegas.shape != discrete.omegas.shape or not np.allclose(
-                continuous.omegas, discrete.omegas, rtol=1e-9, atol=0.0):
+        if not np.array_equal(continuous.omegas, discrete.omegas):
             raise ValueError("densities come from different mode data")
     elif continuous.omega_max <= discrete.omegas[-1]:
         raise ValueError(
@@ -253,9 +250,9 @@ class BathCorrelations:
 def bath_correlations(density, omega_d, taus):
     """Correlator tables for a density at transition frequency omega_d.
 
-    Both channels go through one phase sum, which transforms a discrete
-    density's equal-frequency lines as one.  At T = 0 the downward
-    channel is identically zero and is not transformed.
+    Both channels go through one phase sum, one exponential row per
+    line of a discrete density.  At T = 0 the downward channel is
+    identically zero and is not transformed.
     """
     taus = np.asarray(taus, dtype=float)
     thermal = density.temperature != 0.0
@@ -424,7 +421,7 @@ def _propagate(rho0, deltas):
 
 @dataclass
 class MasterTrajectory:
-    grid: Grid1D
+    times: np.ndarray
     rhos: np.ndarray
     mode: str
     k1: complex = 0.0 + 0.0j
@@ -432,10 +429,6 @@ class MasterTrajectory:
     n_steps_used: int = 0
     warnings: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def times(self):
-        return self.grid.points
 
     @property
     def rho_ee(self):
@@ -529,14 +522,14 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
                 "step refinement stopped at n=%d with rho_ee change %.3e > %.3e"
                 % (n, change, tol))
 
-    grid = Grid1D(0.0, float(t_max), n + 1)
+    times = np.linspace(0.0, float(t_max), n + 1)
     tr = np.einsum("nii->n", rhos).real
     drift = np.max(np.abs(tr - 1.0))
     herm = np.max(np.abs(rhos - np.conj(np.transpose(rhos, (0, 2, 1)))))
     # eigenvalues of a unit-trace Hermitian 2x2 state: 1/2 +- |Bloch vector|
     eigs = 0.5 - np.hypot(rhos[:, 0, 0].real - 0.5, np.abs(rhos[:, 0, 1]))
     min_eig = float(np.min(eigs))
-    worst_t = grid.points[int(np.argmin(eigs))]
+    worst_t = times[int(np.argmin(eigs))]
     if drift > 1e-6:
         msg = "trace drift %.3e at t <= %g" % (drift, t_max)
         if mode == "markov":
@@ -549,7 +542,7 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
         warnings.append(msg)
 
     return MasterTrajectory(
-        grid=grid,
+        times=times,
         rhos=rhos,
         mode=mode,
         k1=complex(k1c),

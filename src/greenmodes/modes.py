@@ -16,7 +16,9 @@ is exact by construction and the overlap matrix needs no cubature.
 
 A ModeSet is its parallel arrays (index rows, frequencies, wavevectors,
 amplitudes): a mode is one row of them, and eval_all is the one place the
-mode functions above are evaluated.
+mode functions above are evaluated.  It also decides which modes share a
+line: the one line spectrum every density, Green tensor and identity
+check of the package reads.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -77,26 +79,49 @@ class CavityGeometry:
         return bool(np.all(r >= 0.0) and np.all(r <= self.lengths))
 
 
+# relative gap past which sorted frequencies start a new line: far above
+# a degenerate shell's last-bit spread, far below distinct lines' spacing
+_LINE_REL = 1e-12
+
+
+def _lines(omegas):
+    """The distinct frequencies under ModeSet's line rule, ascending."""
+    srt = np.sort(omegas)
+    return srt[np.concatenate([[True], np.diff(srt) > _LINE_REL * srt[1:]])]
+
+
 class ModeSet:
-    """Immutable box modes as four parallel read-only arrays.
+    """Immutable box modes as four parallel read-only arrays, and lines.
 
     idx (n, 4) holds integer (m, n, p, branch) rows, omegas (n,) the
     frequencies, kvecs (n, 3) the wavevectors and amplitudes (n, 3) the
-    amplitude vectors; row i of each is mode i.  Rows are sorted
-    ascending in omega with lexicographic (m, n, p, branch)
-    tie-breaking, so the ordering is deterministic for degenerate
-    shells.
+    amplitude vectors; row i of each is mode i.  Modes degenerate in
+    exact arithmetic can differ in the last bits of omega, so the sorted
+    frequencies are cut into lines wherever the gap to the previous one
+    exceeds _LINE_REL times it, and every mode takes its line's lowest
+    frequency: degenerate modes share one bitwise-equal omega.  lines
+    holds the distinct frequencies (ascending) and line_of each mode's
+    index into it.  Rows are sorted ascending in omega with
+    lexicographic (m, n, p, branch) tie-breaking, so the ordering is
+    deterministic for degenerate shells.
     """
 
     def __init__(self, geometry, idx, omegas, kvecs, amplitudes):
         if not len(omegas):
             raise ValueError("empty mode set")
         self.geometry = geometry
+        # _lines' sorted copy and the unsorted line_of die early: holding
+        # them slowed later runs in one process through heap layout
+        lines = _lines(omegas)
+        line_of = np.searchsorted(lines, omegas, side="right") - 1
         order = np.lexsort((idx[:, 3], idx[:, 2], idx[:, 1], idx[:, 0],
-                            omegas))
-        self.idx, self.omegas, self.kvecs, self.amplitudes = (
-            a[order] for a in (idx, omegas, kvecs, amplitudes))
-        for a in (self.idx, self.omegas, self.kvecs, self.amplitudes):
+                            line_of))
+        line_of = line_of[order]
+        self.idx, self.kvecs, self.amplitudes = (
+            a[order] for a in (idx, kvecs, amplitudes))
+        self.lines, self.line_of, self.omegas = lines, line_of, lines[line_of]
+        for a in (self.lines, self.line_of, self.idx, self.omegas,
+                  self.kvecs, self.amplitudes):
             a.flags.writeable = False
 
     def __len__(self):
@@ -105,6 +130,18 @@ class ModeSet:
     @property
     def omega_top(self):
         return float(self.omegas[-1])
+
+    def line_sums(self, rows):
+        """Per-mode rows (n, ...) summed per line in mode order, shape
+        (len(lines), ...)."""
+        rows = np.asarray(rows)
+        out = np.zeros((self.lines.size,) + rows.shape[1:], dtype=rows.dtype)
+        # on flat indices: numpy's add.at is ~3x faster in one dimension
+        k = out[0].size
+        np.add.at(out.reshape(-1),
+                  (self.line_of[:, None] * k + np.arange(k)).ravel(),
+                  rows.reshape(-1))
+        return out
 
     def subset(self, indices):
         sel = np.asarray(indices, dtype=np.int64).reshape(-1)

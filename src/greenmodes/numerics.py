@@ -67,29 +67,6 @@ class QuadratureSpec:
             raise ValueError("eta must be >= 0")
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform grid over [start, stop] with n_points nodes."""
-
-    start: float
-    stop: float
-    n_points: int
-
-    def __post_init__(self):
-        if self.n_points < 2:
-            raise ValueError("need at least 2 grid points")
-        if not self.stop > self.start:
-            raise ValueError("need stop > start")
-
-    @property
-    def h(self):
-        return (self.stop - self.start) / (self.n_points - 1)
-
-    @property
-    def points(self):
-        return np.linspace(self.start, self.stop, self.n_points)
-
-
 # 15-point Kronrod pair (QUADPACK dqk15 constants).
 _XGK = np.array([
     0.991455371120812639206854697526329,
@@ -344,8 +321,9 @@ def phase_sum(taus, nu, weights, block=4096):
     """exp(-i outer(taus, nu)) @ weights, factored on uniform delay grids.
 
     weights holds one value per frequency in nu, or one row of a few
-    columns (e.g. two bath channels sharing the phase matrix).  Lines at
-    equal frequencies share one exponential row (merge_lines).
+    columns (e.g. two bath channels sharing the phase matrix).  Every
+    frequency gets its own exponential row; callers with degenerate
+    lines pass one entry per line (ModeSet.lines).
 
     The delays are split as tau_{qB+r} = base_q + off_r + delta_{qB+r}
     with base_q = tau_{qB}, off_r = tau_r - tau_0 and B = ceil(sqrt(n)),
@@ -364,8 +342,7 @@ def phase_sum(taus, nu, weights, block=4096):
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     nu = np.asarray(nu, dtype=float)
-    nu, cols = merge_lines(
-        nu, np.asarray(weights, dtype=complex).reshape(nu.size, -1))
+    cols = np.asarray(weights, dtype=complex).reshape(nu.size, -1)
     k = cols.shape[1]
     base, off, delta = _delay_split(taus.ravel(), nu)
     n_off = off.size
@@ -382,20 +359,6 @@ def phase_sum(taus, nu, weights, block=4096):
     out = out[:taus.size]
     out = out[:, :k] - 1j * delta[:, None] * out[:, k:]
     return out.reshape(taus.shape + np.shape(weights)[1:])
-
-
-def merge_lines(nu, rows):
-    """(distinct nu, rows summed per distinct nu in their given order), or
-    nu and rows as given when no two frequencies are equal."""
-    lines, group = np.unique(nu, return_inverse=True)
-    if lines.size == nu.size:
-        return nu, rows
-    out = np.zeros((lines.size,) + rows.shape[1:], dtype=rows.dtype)
-    # on flat indices: numpy's add.at is ~3x faster in one dimension
-    k = out[0].size
-    np.add.at(out.reshape(-1), (group[:, None] * k + np.arange(k)).ravel(),
-              rows.reshape(-1))
-    return lines, out
 
 
 def _delay_split(taus, nu):

@@ -270,6 +270,24 @@ def test_markov_master_negative_rate_exits_numeric(tmp_path, capsys,
     assert "negative eigenvalue" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("mode", ["markov", "finite_memory"])
+def test_cold_bath_master_records_no_overflow_warning(tmp_path, mode):
+    # at T = 0.01 the occupation's exp(omega / T) overflows over most of
+    # the band: n = 0 there to double precision, a valid run whose
+    # envelope carries no numpy warning
+    payload = ww_scenario(name="master-cold")
+    del payload["kernel"], payload["time"]
+    payload["bath"] = {"route": "lna", "omega_max": 20.0,
+                       "temperature": 0.01}
+    payload["evolution"] = {"mode": mode, "t_max": 5.0, "n_steps": 200,
+                            "max_refinements": 0}
+    cfg = write_scenario(tmp_path / "cold.json", payload)
+    out = tmp_path / "out"
+    assert run(["master", "--config", cfg, "--out", out, "--quiet"]) == 0
+    env = json.loads((out / "master-cold_envelope.json").read_text())
+    assert env["warnings"] == []
+
+
 def test_cavity_resonance_without_softening_exits_numeric(tmp_path, capsys):
     # omega = pi sqrt(2) is the (1, 1, 0) line of the unit cube; eta = 0
     # leaves the pole unsoftened

@@ -109,11 +109,16 @@ def test_kernel_nmqed_matches_coupling_strengths(cube_modeset):
     dens = spectral_density_nmqed(cube_modeset, atom)
     assert dens.provenance == "nmqed"
     assert dens.is_discrete
-    assert np.array_equal(dens.values, coupling_strengths(cube_modeset, atom))
+    # one entry per line: the couplings of each line's modes summed
+    assert np.array_equal(dens.omegas, cube_modeset.lines)
+    assert np.array_equal(dens.values, cube_modeset.line_sums(
+        coupling_strengths(cube_modeset, atom)))
     assert dens.metadata["n_modes"] == len(cube_modeset)
-    # the density owns its frequency array
-    dens.omegas[0] = -1.0
-    assert cube_modeset.omegas[0] > 0.0
+    # the line positions are shared read-only, so the density cannot
+    # change the mode set's spectrum
+    with pytest.raises(ValueError):
+        dens.omegas[0] = -1.0
+    assert cube_modeset.lines[0] > 0.0
 
 
 # -- route equivalence -------------------------------------------------------

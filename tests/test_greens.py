@@ -175,7 +175,7 @@ def test_sommerfeld_function_wrapper():
 def test_mode_sum_requires_eta_for_imaginary_part(cube_modeset):
     sharp = CavityModeSum(cube_modeset, eta=0.0)
     with pytest.raises(ValueError):
-        sharp.im_coincidence(np.array([0.4, 0.5, 0.6]), 5.0)
+        sharp.im_coincidence(np.array([0.4, 0.5, 0.6]))
 
 
 def test_mode_sum_coincidence_overflowing_eta_raises(cube_modeset):
@@ -183,15 +183,15 @@ def test_mode_sum_coincidence_overflowing_eta_raises(cube_modeset):
     # Lorentzian silently rounded to zero
     huge = CavityModeSum(cube_modeset, eta=1e200)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="eta"):
-        huge.im_coincidence(np.array([0.4, 0.5, 0.6]), np.array([2.0, 5.0]))
+        huge.im_coincidence(np.array([0.4, 0.5, 0.6]))(np.array([2.0, 5.0]))
 
 
 def test_mode_sum_coincidence_passivity(cube_modeset):
     # softened mode sum: Im G(r, r, w) is PSD for every sampled frequency
     backend = CavityModeSum(cube_modeset, eta=1e-2)
-    r = np.array([0.43, 0.51, 0.47])
+    im_g = backend.im_coincidence(np.array([0.43, 0.51, 0.47]))
     for w in np.linspace(2.0, 0.95 * cube_modeset.omega_top, 7):
-        m = backend.im_coincidence(r, w)
+        m = im_g(w)
         eig = np.linalg.eigvalsh(0.5 * (m + m.T.conj()))
         assert eig.min() >= -1e-12 * max(abs(eig).max(), 1e-30)
 
@@ -205,11 +205,11 @@ def test_im_coincidence_batched_equals_scalar_calls(backend_name,
     else:
         backend = CavityModeSum(cube_modeset, eta=1e-2)
         omegas = np.linspace(2.0, 0.95 * cube_modeset.omega_top, 9)
-    r = np.array([0.43, 0.51, 0.47])
-    batched = backend.im_coincidence(r, omegas)
+    im_g = backend.im_coincidence(np.array([0.43, 0.51, 0.47]))
+    batched = im_g(omegas)
     assert batched.shape == (9, 3, 3)
-    stacked = np.stack([backend.im_coincidence(r, w) for w in omegas])
-    assert backend.im_coincidence(r, omegas[3]).shape == (3, 3)
+    stacked = np.stack([im_g(w) for w in omegas])
+    assert im_g(omegas[3]).shape == (3, 3)
     scale = np.max(np.abs(stacked), axis=(1, 2))
     assert np.all(np.max(np.abs(batched - stacked), axis=(1, 2))
                   <= 1e-13 * scale)
@@ -219,14 +219,14 @@ def test_im_coincidence_batched_rejects_bad_input(cube_modeset):
     r = np.array([0.43, 0.51, 0.47])
     omegas = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        CavityModeSum(cube_modeset, eta=0.0).im_coincidence(r, omegas)
-    vacuum = BulkClosedForm(ConstantScalar(1.0))
+        CavityModeSum(cube_modeset, eta=0.0).im_coincidence(r)(omegas)
+    vacuum = BulkClosedForm(ConstantScalar(1.0)).im_coincidence(r)
     with pytest.raises(ValueError):
-        vacuum.im_coincidence(r, np.array([1.0, 0.0, 2.0]))
+        vacuum(np.array([1.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
-        vacuum.im_coincidence(r, np.array([1.0, -2.0]))
+        vacuum(np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
-        BulkClosedForm(ConstantScalar(2.0 + 0.1j)).im_coincidence(r, omegas)
+        BulkClosedForm(ConstantScalar(2.0 + 0.1j)).im_coincidence(r)(omegas)
 
 
 def test_cavity_green_function_wrapper(cube_modeset):
@@ -266,7 +266,7 @@ def test_mode_sum_matches_per_mode_reference(fixture, request):
     eta = 1e-2
     x = eta * w
     want, scale = per_mode(r, r, x / ((modeset.omegas**2 - w**2) ** 2 + x * x))
-    got = CavityModeSum(modeset, eta=eta).im_coincidence(r, omegas)
+    got = CavityModeSum(modeset, eta=eta).im_coincidence(r)(omegas)
     assert np.all(np.abs(got - want) <= 32.0 * eps * scale)
 
 

@@ -17,6 +17,7 @@ from greenmodes import (
     CavityModeSum,
     ConstantScalar,
     Drive,
+    ModeSet,
     SpectralDensity,
     bath_correlations,
     coupling_strengths,
@@ -24,6 +25,7 @@ from greenmodes import (
     integrate_adaptive,
     kernel_equivalence_check,
     markov_coefficients,
+    markov_rate_and_shift,
     spectral_density_lna,
     spectral_density_nmqed,
 )
@@ -70,6 +72,10 @@ def test_density_validation():
     with pytest.raises(ValueError):
         SpectralDensity(omegas=np.array([2.0, 1.0]),
                         values=np.array([0.1, 0.1]))
+    # one entry per line: a repeated frequency is refused
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SpectralDensity(omegas=np.array([1.0, 1.0]),
+                        values=np.array([0.1, 0.1]))
     with pytest.raises(ValueError):
         SpectralDensity(omegas=np.array([1.0]), values=np.array([-0.1]))
     with pytest.raises(ValueError):
@@ -89,12 +95,12 @@ def test_density_nmqed_lines(cube_modeset):
     dens = spectral_density_nmqed(cube_modeset, atom)
     assert dens.provenance == "nmqed"
     assert dens.is_discrete
-    assert np.all(np.diff(dens.omegas) >= 0.0)
+    assert np.all(np.diff(dens.omegas) > 0.0)
     assert np.all(dens.values >= 0.0)
     assert dens.metadata["n_modes"] == len(cube_modeset)
-    order = np.argsort(cube_modeset.omegas, kind="stable")
-    assert np.array_equal(dens.values,
-                          coupling_strengths(cube_modeset, atom)[order])
+    assert np.array_equal(dens.omegas, cube_modeset.lines)
+    assert np.array_equal(dens.values, cube_modeset.line_sums(
+        coupling_strengths(cube_modeset, atom)))
 
 
 def test_density_lna_continuous_is_vacuum_cubic():
@@ -118,6 +124,22 @@ def test_density_lna_needs_coincidence_im_g():
     # refused when it is built, naming the backend, before any sampling
     with pytest.raises(ValueError, match="BulkSommerfeld"):
         spectral_density_lna(BulkSommerfeld(ConstantScalar(1.0)), make_atom())
+
+
+def test_cavity_lna_density_evaluates_modes_once(cube_modeset,
+                                                 monkeypatch):
+    # the point's line spectrum is built with the density: tabulating
+    # it and taking its Markov limit reuse it
+    calls = []
+    eval_all = ModeSet.eval_all
+    monkeypatch.setattr(ModeSet, "eval_all",
+                        lambda self, r: calls.append(r) or eval_all(self, r))
+    atom = make_atom(omega0=4.0)
+    dens = spectral_density_lna(CavityModeSum(cube_modeset, eta=5e-2), atom,
+                                omega_max=8.0)
+    bath_correlations(dens, atom.omega0, np.linspace(0.0, 5.0, 201))
+    markov_rate_and_shift(dens, atom.omega0)
+    assert len(calls) == 1
 
 
 def test_density_routes_agree_line_by_line(cube_modeset):

@@ -5,10 +5,15 @@ import pytest
 
 from greenmodes import (
     CavityGeometry,
+    CavityModeSum,
     ConstantScalar,
     build_pec_box_modes,
     coupling_strengths,
+    spectral_density_lna,
+    spectral_density_nmqed,
 )
+from greenmodes import greens, identities
+from greenmodes.master import resonance_edge_hints
 from conftest import make_atom
 
 
@@ -147,9 +152,9 @@ def test_degenerate_shell_order_independence(cube_modeset):
 
 
 def reference_modes(geometry, n_max, c=1.0):
-    """Per-triple loop with the scalar arithmetic of the original build:
-    rows (m, n, p, branch), omegas, k and amplitudes, sorted by
-    (omega, m, n, p, branch)."""
+    """Per-triple loop with the scalar arithmetic of the original build
+    and the line rule applied one mode at a time: rows (m, n, p, branch),
+    omegas, k and amplitudes, sorted by (line omega, m, n, p, branch)."""
     eps_b = geometry.eps_b
     lengths = geometry.lengths
     vol = geometry.volume
@@ -175,7 +180,15 @@ def reference_modes(geometry, n_max, c=1.0):
                 scale = np.sqrt(8.0 / (eps_b * vol))
                 rows.append((omega, m, n, p, 1, kvec, a1 * scale))
                 rows.append((omega, m, n, p, 2, kvec, a2 * scale))
-    rows.sort(key=lambda row: row[:5])
+    # sorted frequencies start a new line where the gap to the previous
+    # one exceeds 1e-12 of it; each mode takes its line's lowest omega
+    rows.sort(key=lambda row: row[0])
+    lined = []
+    for i, row in enumerate(rows):
+        if i == 0 or row[0] - rows[i - 1][0] > 1e-12 * row[0]:
+            line = row[0]
+        lined.append((line,) + row[1:])
+    rows = sorted(lined, key=lambda row: row[:5])
     return (np.array([row[1:5] for row in rows]),
             np.array([row[0] for row in rows]),
             np.array([row[5] for row in rows]),
@@ -190,13 +203,17 @@ def test_vectorized_build_matches_reference_loop(lengths, eps_b, n_max):
     geom = CavityGeometry(*lengths, background=ConstantScalar(eps_b))
     ms = build_pec_box_modes(geom, n_max)
     idx, omegas, kvecs, amps = reference_modes(geom, n_max)
-    # bitwise: the order of degenerate shells depends on every omega bit
+    # bitwise: every omega is its line's, and the rows of a line follow
+    # (m, n, p, branch)
     assert np.array_equal(ms.idx, idx)
     assert np.array_equal(ms.omegas, omegas)
+    assert np.array_equal(ms.lines, np.unique(omegas))
+    assert np.array_equal(ms.lines[ms.line_of], omegas)
     assert np.array_equal(ms.kvecs, kvecs)
     assert np.all(np.abs(ms.amplitudes - amps) <= np.spacing(np.abs(amps)))
     assert ms.geometry is geom
-    for a in (ms.idx, ms.omegas, ms.kvecs, ms.amplitudes):
+    for a in (ms.idx, ms.omegas, ms.kvecs, ms.amplitudes, ms.lines,
+              ms.line_of):
         assert not a.flags.writeable
 
     # a degenerate shell handed to subset in reverse comes back sorted,
@@ -208,6 +225,65 @@ def test_vectorized_build_matches_reference_loop(lengths, eps_b, n_max):
     gram = np.array([[sub.overlap(i, j) for j in range(len(sub))]
                      for i in range(len(sub))])
     assert np.max(np.abs(gram - np.eye(len(sub)))) < 1e-12
+
+
+@pytest.mark.parametrize("lengths, n_lines", [((1.0, 1.0, 1.0), 63),
+                                              ((1.0, 2.0, 3.0), 216)])
+def test_one_line_spectrum_for_every_consumer(lengths, n_lines,
+                                              monkeypatch):
+    ms = build_pec_box_modes(CavityGeometry(*lengths), 6)
+    # modes degenerate in exact arithmetic are those with one integer
+    # 36 sum (m_i / L_i)^2 (L_i in {1, 2, 3}); they, and only they,
+    # share a line
+    key = ms.idx[:, :3] ** 2 @ (36.0 / np.array(lengths) ** 2)
+    _, exact_line = np.unique(key, return_inverse=True)
+    assert ms.lines.size == n_lines
+    assert np.array_equal(ms.line_of, exact_line)
+    assert np.all(np.diff(ms.lines) > 0.0)
+    assert np.array_equal(ms.lines[ms.line_of], ms.omegas)
+
+    atom = make_atom()
+    eta = 1e-3
+    mode_sum = CavityModeSum(ms, eta=eta)
+    nmqed = spectral_density_nmqed(ms, atom)
+    limit = spectral_density_lna(mode_sum, atom, analytic_limit=True)
+    softened = spectral_density_lna(mode_sum, atom,
+                                    omega_max=2.0 * ms.omega_top)
+    hints = resonance_edge_hints(ms.lines, eta, 2.0 * ms.omega_top)
+    assert np.array_equal(softened.edge_hints, hints)
+    seen = []
+
+    def lorentzian_weights(omegas, eta, omega_max, spec):
+        seen.append(np.array(omegas))
+        return np.asarray(omegas) / 2.0, 0.0
+
+    monkeypatch.setattr(identities, "_lorentzian_weights",
+                        lorentzian_weights)
+    identities.check_conversion_p1(ms, atom.position, atom.position, eta=eta)
+    for lines in (nmqed.omegas, limit.omegas, hints.reshape(-1, 11)[:, 5],
+                  seen[0], greens._mode_pairs(ms, atom.position,
+                                              atom.position)[0]):
+        assert np.array_equal(lines, ms.lines)
+
+    # a line handed to subset is kept whole, and subset is idempotent
+    k = ms.line_of[len(ms) // 2]
+    shell = ms.subset(np.flatnonzero(ms.line_of == k))
+    again = shell.subset(np.arange(len(shell))[::-1])
+    assert np.array_equal(shell.lines, ms.lines[k:k + 1])
+    for a, b in ((again.lines, shell.lines), (again.omegas, shell.omegas),
+                 (again.idx, shell.idx), (again.line_of, shell.line_of)):
+        assert np.array_equal(a, b)
+
+
+def test_line_sums_add_rows_per_line_in_mode_order(cube_modeset, rng):
+    rows = rng.normal(size=(len(cube_modeset), 2, 3))
+    got = cube_modeset.line_sums(rows)
+    assert got.shape == (cube_modeset.lines.size, 2, 3)
+    for k in (0, 7, cube_modeset.lines.size - 1):
+        want = np.zeros((2, 3))
+        for row in rows[cube_modeset.line_of == k]:
+            want += row
+        assert np.array_equal(got[k], want)
 
 
 def test_coupling_strengths_vectorized(cube_modeset):
