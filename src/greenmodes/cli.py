@@ -27,6 +27,7 @@ from .atom import Drive, TwoLevelAtom
 from .decay import markov_rate_and_shift, solve_volterra
 from .greens import BulkClosedForm, BulkSommerfeld, CavityModeSum, wavenumber
 from .identities import (
+    CONVERSION_ETA,
     check_appendix_lossless_limit,
     check_conversion_p1,
     check_magic_formula,
@@ -34,6 +35,7 @@ from .identities import (
     sphere_clears_points,
 )
 from .master import (
+    LNA_OMEGA_MAX,
     evolve_master_equation,
     markov_coefficients,
     spectral_density_lna,
@@ -213,10 +215,7 @@ _SCHEMA = {
         "abs_tol": _key(_number, QuadratureSpec.abs_tol),
         "rel_tol": _key(_number, QuadratureSpec.rel_tol),
         "max_subdivisions": _key(_integer, QuadratureSpec.max_subdivisions,
-                                 minimum=1),
-        "omega_max": _key(_number, QuadratureSpec.omega_max),
-        "pv_excision": _key(_number, QuadratureSpec.pv_excision),
-        "eta": _key(_number, QuadratureSpec.eta)}),
+                                 minimum=1)}),
     "geometry": _key(_union, None, tag="type", variants={
         "bulk": {"type": _key(_string),
                  "permittivity": _key(_union, **_PERMITTIVITY)},
@@ -240,14 +239,14 @@ _SCHEMA = {
         "drive": _key(_resolve, None, schema={
             "omega_L": _key(_number), "rabi": _key(_number, minimum=0.0)})}),
     "kernel": _key(_resolve, {}, schema={
-        "route": _ROUTE, "omega_max": _key(_number, None, minimum=0.0),
+        "route": _ROUTE, "omega_max": _key(_number, None, above=0.0),
         "analytic_limit": _key(_boolean, False)}),
     "time": _key(_resolve, {}, schema={
         "t_max": _key(_number, above=0.0),
         "n_steps": _key(_integer, minimum=10),
         "fit_window": _key(_numbers, [0.35, 0.95])}),
     "bath": _key(_resolve, {}, schema={
-        "route": _ROUTE, "omega_max": _key(_number, None, minimum=0.0),
+        "route": _ROUTE, "omega_max": _key(_number, None, above=0.0),
         "analytic_limit": _key(_boolean, False),
         "temperature": _key(_number, 0.0, minimum=0.0)}),
     "evolution": _key(_resolve, {}, schema={
@@ -260,7 +259,7 @@ _SCHEMA = {
         "rho_ee": _key(_number, 1.0), "rho_eg": _key(_numbers, [0.0, 0.0])}),
     "conversion": _key(_resolve, {}, schema={
         "r": _VEC3, "r0": _VEC3,
-        "eta": _key(_number, None, minimum=0.0),
+        "eta": _key(_number, CONVERSION_ETA, minimum=0.0),
         "omega_max": _key(_number, None),
         "lhs_path": _key(_string, "softened",
                          choices={"softened", "analytic"})}),
@@ -304,6 +303,15 @@ def validate(subcommand, scenario):
             if coupling[key] is not unset:
                 raise SchemaError("%s.%s applies to route 'lna' only"
                                   % (block, key))
+    elif coupling:
+        if coupling["omega_max"] is None:
+            coupling["omega_max"] = LNA_OMEGA_MAX
+        # the Markov level shift is a PV about omega0 inside the window
+        omega0 = s["atom"]["omega0"]
+        if not coupling["analytic_limit"] and coupling["omega_max"] <= omega0:
+            raise SchemaError("the lna window %s.omega_max = %g must "
+                              "exceed atom.omega0 = %g"
+                              % (block, coupling["omega_max"], omega0))
     if expect is not None and geometry["type"] != expect:
         raise SchemaError("geometry.type must be '%s' for this subcommand"
                           % expect)
@@ -388,7 +396,7 @@ def _density(s, block, atom, qspec, temperature=0.0):
         return spectral_density_nmqed(_modeset(s), atom,
                                       temperature=temperature)
     return spectral_density_lna(_green_backend(s, qspec), atom,
-                                spec=qspec, omega_max=b["omega_max"],
+                                omega_max=b["omega_max"],
                                 temperature=temperature,
                                 analytic_limit=b["analytic_limit"])
 
@@ -477,17 +485,17 @@ def _run_green(s, qspec, outdir, fmt, stem):
     columns = ["x", "y", "z", "x0", "y0", "z0", "omega"]
     for c in comps:
         columns += ["re_" + c, "im_" + c]
-    rows = []
-    for w in ev["frequencies"]:
-        for r, r0 in zip(ev["points"], ev["sources"]):
-            g = backend.evaluate(np.array(r), np.array(r0), w)
-            row = list(r) + list(r0) + [w]
-            for i in range(3):
-                for j in range(3):
-                    row += [g[i, j].real, g[i, j].imag]
-            rows.append(tuple(row))
+    points, sources = np.array(ev["points"]), np.array(ev["sources"])
+    omegas = np.array(ev["frequencies"])
+    # one call per pair over every frequency; rows run frequency-major
+    g = np.stack([backend.evaluate(r, r0, omegas)
+                  for r, r0 in zip(points, sources)], axis=1)
+    n = omegas.size
+    rows = np.column_stack([np.tile(points, (n, 1)), np.tile(sources, (n, 1)),
+                            np.repeat(omegas, len(points)),
+                            np.stack([g.real, g.imag], -1).reshape(-1, 18)])
     table = os.path.join(outdir, "%s_green.%s" % (stem, fmt))
-    _write_table(table, columns, np.array(rows).T, fmt)
+    _write_table(table, columns, rows.T, fmt)
     return [table], {"n_rows": len(rows), "backend": type(backend).__name__}
 
 
@@ -535,7 +543,7 @@ def _run_check_surface(s, qspec, outdir, fmt, stem):
     out, residuals = _write_sweep(
         outdir, stem, "radius", sf["radii"],
         lambda radius: check_surface_term(eps_model, radius, r, r0,
-                                          sf["omega"], spec=qspec))
+                                          sf["omega"]))
     return [out], {"radii": sf["radii"], "rel_residuals": residuals}
 
 

@@ -12,7 +12,8 @@ satisfy the reflection G(-w) = G*(w) on the real axis.  The contact
 delta-function term is excluded everywhere; the volume identity writes
 its cross term in closed form (identities._volume_terms).
 
-The backends are plain classes: all three have evaluate(r, r0, omega);
+The backends are plain classes: all three have evaluate(r, r0, omega),
+where an array of frequencies gives omega.shape + (3, 3) from one call;
 the closed form and the mode sum also have im_coincidence(r), which
 returns the function omega -> Im G(r, r, omega), so the mode sum builds
 its point's line spectrum once however often that function is sampled.
@@ -20,7 +21,7 @@ its point's line spectrum once however often that function is sampled.
 
 import numpy as np
 
-from .numerics import QuadratureSpec, sommerfeld_radial
+from .numerics import sommerfeld_radial
 from .tensors import I3, r3
 
 
@@ -138,7 +139,6 @@ def bulk_green_sommerfeld(r, r0, omega, eps, spec=None, k_max_multiplier=30.0):
     at 500 |k| so pathological geometries cannot explode the range.
     Delta term excluded, as in the closed form.
     """
-    spec = spec or QuadratureSpec()
     disp = r3(r) - r3(r0)
     dx, dy, dz = disp
     lateral = float(np.hypot(dx, dy))
@@ -162,6 +162,13 @@ def _z_rotation(dx, dy):
     phi = np.arctan2(dy, dx)
     cp, sp = np.cos(phi), np.sin(phi)
     return np.array([[cp, -sp, 0.0], [sp, cp, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _each_frequency(green_at, omega):
+    """green_at(w) for every w in omega, shaped omega.shape + (3, 3)."""
+    omega = np.asarray(omega, dtype=float)
+    return np.reshape([green_at(w) for w in omega.ravel().tolist()],
+                      omega.shape + (3, 3))
 
 
 class ResonanceError(RuntimeError):
@@ -210,7 +217,8 @@ class BulkClosedForm:
         self.eps_model = eps_model
 
     def evaluate(self, r, r0, omega):
-        return bulk_green(r, r0, omega, self.eps_model.eval(omega))
+        return _each_frequency(
+            lambda w: bulk_green(r, r0, w, self.eps_model.eval(w)), omega)
 
     def im_coincidence(self, r):
         """omega -> Im G(r, r, omega), finite in a lossless medium only.
@@ -226,13 +234,13 @@ class BulkClosedForm:
 class BulkSommerfeld:
     def __init__(self, eps_model, spec=None, k_max_multiplier=30.0):
         self.eps_model = eps_model
-        self.spec = spec or QuadratureSpec()
+        self.spec = spec
         self.k_max_multiplier = float(k_max_multiplier)
 
     def evaluate(self, r, r0, omega):
-        return bulk_green_sommerfeld(
-            r, r0, omega, self.eps_model.eval(omega), self.spec,
-            self.k_max_multiplier)
+        return _each_frequency(lambda w: bulk_green_sommerfeld(
+            r, r0, w, self.eps_model.eval(w), self.spec,
+            self.k_max_multiplier), omega)
 
 
 class CavityModeSum:

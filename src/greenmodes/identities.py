@@ -42,7 +42,7 @@ from .greens import (
     im_green_coincidence,
     wavenumber,
 )
-from .numerics import QuadratureSpec, gauss_legendre, integrate_adaptive
+from .numerics import gauss_legendre, integrate_adaptive
 from .tensors import I3, dagger, is_psd, max_abs, r3
 
 
@@ -111,8 +111,12 @@ def _lorentzian_weights(omegas, eta, omega_max, spec):
     return per_omega / np.pi, err / np.pi
 
 
-def check_conversion_p1(modeset, r, r0, spec=None, eta=None, omega_max=None,
-                        lhs_path="softened"):
+# pole softening of the conversion check unless a caller sets one
+CONVERSION_ETA = 1e-3
+
+
+def check_conversion_p1(modeset, r, r0, spec=None, eta=CONVERSION_ETA,
+                        omega_max=None, lhs_path="softened"):
     """Frequency-integrated softened mode-sum Im G against the direct sum.
 
     lhs = (1/pi) int_0^omega_max dw w^2 Im G_modes(r, r0, w; eta),
@@ -127,9 +131,6 @@ def check_conversion_p1(modeset, r, r0, spec=None, eta=None, omega_max=None,
     call's G7-K15 error estimate over pi (0.0 on the analytic path,
     which has no quadrature).
     """
-    spec = spec or QuadratureSpec()
-    if eta is None:
-        eta = spec.eta
     if omega_max is None:
         omega_max = 1.3 * modeset.omega_top
     if lhs_path not in ("softened", "analytic"):
@@ -378,7 +379,6 @@ def check_magic_formula(eps_model, r, r0, omega, spec=None,
     times the lhs prefactor, as metadata quad_error; the generic path
     uses fixed product rules and has no such estimate.
     """
-    spec = spec or QuadratureSpec()
     eps = complex(eps_model.eval(omega))
     im_eps = eps.imag
     if im_eps <= 0.0:
@@ -466,7 +466,7 @@ def sphere_clears_points(radius, r, r0, k):
     return radius - 0.5 * np.linalg.norm(r3(r) - r3(r0)) >= 2.0 / abs(k)
 
 
-def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None):
+def check_surface_term(eps_model, sphere_radius, r, r0, omega):
     """Closure of the volume identity on a finite ball plus its boundary.
 
     The bulk medium is the scalar eps_model and G its closed form.
@@ -477,7 +477,6 @@ def check_surface_term(eps_model, sphere_radius, r, r0, omega, spec=None):
     surface term is self-consistent to 1 percent.  The surface term
     alone is reported in extras.
     """
-    spec = spec or QuadratureSpec()
     eps = complex(eps_model.eval(omega))
     k = wavenumber(omega, eps)
     r = r3(r)
@@ -572,7 +571,6 @@ def check_appendix_lossless_limit(r, r0, omega, spec=None, mu_max=None):
     metadata quad_error is the sum of both sectors' G7-K15 error
     estimates over 8 pi^2, the scale of lhs.
     """
-    spec = spec or QuadratureSpec()
     disp = r3(r) - r3(r0)
     dx, dy, dz = disp
     lateral = float(np.hypot(dx, dy))

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .modes import coupling_strengths
-from .numerics import QuadratureSpec, fourier_table, integrate_pv, phase_sum
+from .numerics import fourier_table, integrate_pv, phase_sum
 
 
 def thermal_occupation(omega, temperature):
@@ -140,23 +140,26 @@ def _lna_line_masses(modeset, atom):
     return om**2 * proj * np.pi / (2.0 * om * np.pi)
 
 
-def spectral_density_lna(green, atom, spec=None, omega_max=None,
+# upper end of the lna route's frequency window unless a caller sets one
+LNA_OMEGA_MAX = 20.0
+
+
+def spectral_density_lna(green, atom, omega_max=LNA_OMEGA_MAX,
                          temperature=0.0, analytic_limit=False):
     """J(omega) = omega^2 gamma . Im G(r0, r0, omega) . gamma / pi.
 
-    Continuous by default, sampled through the backend's coincidence
-    Im G, one batched call per node array; a backend without
-    im_coincidence (the Sommerfeld integral) raises ValueError here,
-    before any sampling.  A softened mode-sum backend gets panel edges
-    at its lines so tabulations do not step over them, and a lossy
-    medium at the atom position raises through the backend.
+    Continuous on (0, omega_max) by default, sampled through the
+    backend's coincidence Im G, one batched call per node array; a
+    backend without im_coincidence (the Sommerfeld integral) raises
+    ValueError here, before any sampling.  A softened mode-sum backend
+    gets panel edges at its lines so tabulations do not step over them,
+    and a lossy medium at the atom position raises through the backend.
     The backend's im_coincidence(r0) is called once, here, and the
     sampler reuses the function it returns.  analytic_limit=True needs a
     cavity mode-sum backend and returns the discrete line masses instead
     (the vanishing-softening limit taken analytically, line by line),
     one entry per line of its ModeSet.
     """
-    spec = spec or QuadratureSpec()
     modeset = getattr(green, "modeset", None)
 
     if analytic_limit:
@@ -174,8 +177,6 @@ def spectral_density_lna(green, atom, spec=None, omega_max=None,
         raise ValueError(
             "the %s backend has no coincidence Im G; the lna route needs "
             "a closed-form or mode-sum backend" % type(green).__name__)
-    if omega_max is None:
-        omega_max = spec.omega_max
     gamma = atom.dipole
     im_g = green.im_coincidence(atom.position)
     pref = 1.0 / np.pi
@@ -279,10 +280,12 @@ def markov_coefficients(density, omega_d, spec=None):
     """Half-line tau integrals of the correlators: (k1, k2) constants.
 
     k1 = pi J(w_d)(n(w_d)+1) - i PV int J(w)(n(w)+1)/(w - w_d) dw, and the
-    same with n alone for k2.  Discrete densities get zero delta-part
-    unless a line sits exactly at omega_d with finite weight (error).
+    same with n alone for k2.  A continuous density's two principal
+    values are one integrate_pv call over (0, omega_max) on the
+    numerator J(w)(n(w)+1, n(w)), the pole subtracted there; its error
+    estimate is dropped.  Discrete densities get zero delta-part unless
+    a line sits exactly at omega_d with finite weight (error).
     """
-    spec = spec or QuadratureSpec()
     if density.is_discrete:
         detun = density.omegas - omega_d
         resonant = np.abs(detun) <= 1e-12 * omega_d
@@ -305,12 +308,11 @@ def markov_coefficients(density, omega_d, spec=None):
 
     # up and down share the density samples: one two-component PV (at
     # T = 0 the occupation is 0 and the down component is 0.0 exactly)
-    def f_updn(w):
+    def g_updn(w):
         n = density.occupation(w)
-        return (density.value(w)[:, None] * np.stack([n + 1.0, n], axis=1)
-                / (w - omega_d)[:, None])
+        return density.value(w)[:, None] * np.stack([n + 1.0, n], axis=1)
 
-    (s_up, s_dn), _ = integrate_pv(f_updn, omega_d, 0.0, density.omega_max,
+    (s_up, s_dn), _ = integrate_pv(g_updn, omega_d, 0.0, density.omega_max,
                                    spec)
 
     k1 = np.pi * j_d * (n_d + 1.0) - 1j * float(s_up)
@@ -481,7 +483,6 @@ def evolve_master_equation(atom, density, rho0, t_max, n_steps,
     bad = check_density_matrix(rho0)
     if bad is not None:
         raise ValueError("initial state invalid: %s" % bad)
-    spec = spec or QuadratureSpec()
     omega_d = atom.omega0
     hmat = _hamiltonian_over_hbar(atom)
     warnings = []

@@ -1,6 +1,7 @@
-"""Shared numerical kernels: adaptive quadrature, principal values, cached
-Gauss-Legendre rules, the delay-frequency phase sum, and the Volterra
-history march as a divide-and-conquer Toeplitz solve.
+"""Shared numerical kernels: adaptive quadrature, principal values by
+singularity subtraction, cached Gauss-Legendre rules, the delay-frequency
+phase sum, and the Volterra history march as a divide-and-conquer
+Toeplitz solve.
 
 All routines are deterministic: fixed node sets, fixed subdivision order,
 no randomness and no environment-dependent branching, so repeated runs
@@ -40,31 +41,20 @@ class TailTruncationWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation knobs shared by the integral routines.
-
-    omega_max truncates frequency integrals, pv_excision is the starting
-    half-width for principal-value excision, eta softens mode-sum poles.
-    All three are absolute frequencies in natural units.
-    """
+    """Tolerances of the adaptive quadrature, shared by every routine
+    built on integrate_adaptive: a panel is accepted when its G7-K15
+    error estimate is within its share of abs_tol + rel_tol |estimate|,
+    and a call fails past max_subdivisions panels."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 4000
-    omega_max: float = 20.0
-    pv_excision: float = 0.25
-    eta: float = 1e-3
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.omega_max <= 0.0:
-            raise ValueError("omega_max must be positive")
-        if self.pv_excision <= 0.0:
-            raise ValueError("pv_excision must be positive")
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
 
 
 # 15-point Kronrod pair (QUADPACK dqk15 constants).
@@ -190,45 +180,35 @@ def integrate_adaptive(f, a, b, spec=None):
         n_panels += lo.size
 
 
-def integrate_pv(f, pole, a, b, spec=None):
-    """Cauchy principal value of f over [a, b] with a simple pole inside.
+def integrate_pv(g, pole, a, b, spec=None):
+    """Cauchy principal value of g(x) / (x - pole) over [a, b], with
+    a < pole < b.
 
-    f is the complete integrand including the singular factor.  Symmetric
-    excision at shrinking half-widths h_l = h_0 / 2^l, l = 0..4, with h_0
-    the smaller of spec.pv_excision and an eighth of the room to the
-    nearer end, leaves only odd powers of h in the error; three Richardson
-    stages remove the h, h^3 and h^5 terms.  The far region [a, pole - h_0]
-    and [pole + h_0, b] is integrated once; each finer level adds only the
-    two annuli [pole - h_{l-1}, pole - h_l] and [pole + h_l, pole + h_{l-1}]
-    to the level before it, one adaptive call per interval.  Returns
-    (value, error_bound); error_bound is the last Richardson difference
-    plus the sum of the ten intervals' G7-K15 estimates, so the far region
-    counts once.
+    g is the numerator alone, vectorized like an integrate_adaptive
+    integrand, and is sampled once at the pole.  Subtracting the pole
+    (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984)
+    leaves the regular integrand (g(x) - g(pole)) / (x - pole),
+    integrated adaptively on [a, pole] and [pole, b], and the singular part
+    in closed form, g(pole) ln((b - pole) / (pole - a)).  A node that
+    rounds onto the pole (possible at the width floor) contributes 0,
+    not 0/0.  Returns (value, error_bound); error_bound is the sum of
+    the two adaptive calls' G7-K15 estimates.
     """
-    spec = spec or QuadratureSpec()
     pole = float(pole)
     if not (a < pole < b):
         raise ValueError("pole must lie strictly inside (a, b)")
-    h0 = min(spec.pv_excision, min(pole - a, b - pole) / 8.0)
+    g_pole = np.asarray(g(np.array([pole])))[0]
 
-    # level l adds [left[l], left[l+1]] and [right[l+1], right[l]]
-    left = [a] + [pole - h0 / 2**lvl for lvl in range(5)]
-    right = [b] + [pole + h0 / 2**lvl for lvl in range(5)]
-    vals = []
-    total = 0.0
-    errs = 0.0
-    for lvl in range(5):
-        vl, el = integrate_adaptive(f, left[lvl], left[lvl + 1], spec)
-        vr, er = integrate_adaptive(f, right[lvl + 1], right[lvl], spec)
-        total = total + (vl + vr)
-        vals.append(total)
-        errs += el + er
-    r1 = [2.0 * vals[i + 1] - vals[i] for i in range(4)]
-    r2 = [(8.0 * r1[i + 1] - r1[i]) / 7.0 for i in range(3)]
-    r3 = [(32.0 * r2[i + 1] - r2[i]) / 31.0 for i in range(2)]
-    value = r3[1]
-    err = float(np.max(np.abs(r3[1] - r3[0]))) + errs
-    return value, err
+    def regular(x):
+        d = (x - pole).reshape((-1,) + (1,) * np.ndim(g_pole))
+        on_pole = d == 0.0
+        return (np.where(on_pole, 0.0, np.asarray(g(x)) - g_pole)
+                / np.where(on_pole, 1.0, d))
+
+    left, e_left = integrate_adaptive(regular, a, pole, spec)
+    right, e_right = integrate_adaptive(regular, pole, b, spec)
+    value = left + right + g_pole * np.log((b - pole) / (pole - a))
+    return value, e_left + e_right
 
 
 def sommerfeld_radial(f, k, k_max, spec=None):

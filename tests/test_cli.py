@@ -1,5 +1,6 @@
 """Scenario CLI: schema strictness, determinism, envelopes, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from greenmodes import CavityGeometry, build_pec_box_modes, cli
+from greenmodes import (CavityGeometry, ModeSet, QuadratureSpec,
+                        build_pec_box_modes, cli)
 
 
 def write_scenario(path, payload):
@@ -304,6 +306,36 @@ def test_cavity_resonance_without_softening_exits_numeric(tmp_path, capsys):
     assert "resonance" in err["error"]["message"]
 
 
+def test_pec_box_green_evaluates_each_pair_once(tmp_path, monkeypatch):
+    # one backend call per point pair covers every frequency, so a pair
+    # costs at most two ModeSet.eval_all calls (at r and at r0); rows run
+    # frequency-major
+    calls = []
+    eval_all = ModeSet.eval_all
+
+    def counted(self, r):
+        calls.append(r)
+        return eval_all(self, r)
+
+    monkeypatch.setattr(ModeSet, "eval_all", counted)
+    payload = cube_scenario(name="cube-green", n_max=4)
+    payload["geometry"]["eta"] = 0.01
+    points = [[0.3, 0.4, 0.5], [0.2, 0.7, 0.6]]
+    sources = [[0.6, 0.5, 0.4], [0.2, 0.7, 0.6]]
+    omegas = [0.5 + 0.25 * i for i in range(12)]
+    payload["evaluation"] = {"points": points, "sources": sources,
+                             "frequencies": omegas}
+    cfg = write_scenario(tmp_path / "green.json", payload)
+    out = tmp_path / "out"
+    assert run(["green", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert 0 < len(calls) <= 2 * len(points)
+    rows = np.loadtxt(out / "cube-green_green.csv", delimiter=",",
+                      skiprows=1)
+    assert rows.shape == (len(omegas) * len(points), 25)
+    assert np.array_equal(rows[:, :7], [
+        r + r0 + [w] for w in omegas for r, r0 in zip(points, sources)])
+
+
 @pytest.mark.parametrize("subcommand, scenario, override", [
     ("ww", ww_scenario(), "atom.omega0=NaN"),
     ("ww", ww_scenario(), "time.t_max=Infinity"),
@@ -559,6 +591,17 @@ def _assert_schema_error_without_work(code, capsys, calls, out):
     ("accept07", "surface.radii=[0.5]"),
     # the one unit system is natural units: a units block is unknown
     ("accept01", 'units={"system": "natural"}'),
+    # the quadrature block holds the quadrature's tolerances only
+    ("accept01", "quadrature.omega_max=2"),
+    ("accept01", "quadrature.pv_excision=0.25"),
+    ("accept03", "quadrature.eta=0.001"),
+    # an lna window that misses omega0 (the library would refuse it only
+    # after the march); the default window counts when omega_max is unset
+    ("accept01", "kernel.omega_max=0.5"),
+    ("accept01", "kernel.omega_max=0"),
+    ("accept09", ("bath.route=lna", "geometry.eta=0.01",
+                  "bath.omega_max=0.8")),
+    ("accept09", ("bath.route=lna", "geometry.eta=0.01", "atom.omega0=25")),
 ], ids=["master-last-block", "ww-t_max", "nmqed-analytic_limit",
         "nmqed-omega_max", "nmqed-backend-type", "closed-form-k_max",
         "magic-geometry-type", "ww-t_max-zero", "omega0-zero",
@@ -568,7 +611,10 @@ def _assert_schema_error_without_work(code, capsys, calls, out):
         "nmqed-kernel-analytic_limit-true", "nmqed-bath-omega_max",
         "p1-point-outside-box", "ww-atom-outside-box",
         "master-atom-outside-box", "green-point-outside-box",
-        "box-length-zero", "surface-sphere-too-small", "units-block"])
+        "box-length-zero", "surface-sphere-too-small", "units-block",
+        "quadrature-omega_max", "quadrature-pv_excision", "quadrature-eta",
+        "ww-window-below-omega0", "ww-window-zero",
+        "master-window-below-omega0", "master-default-window-below-omega0"])
 def test_schema_error_exits_before_any_work(tmp_path, capsys, monkeypatch,
                                             tag, override):
     calls = []
@@ -596,6 +642,13 @@ def test_bath_analytic_limit_on_bulk_exits_schema_before_any_work(
     assert err["error"]["type"] == "SchemaError"
     assert "bath.analytic_limit" in err["error"]["message"]
     assert not out.exists()
+
+
+def test_quadrature_block_mirrors_quadrature_spec():
+    # the block sets the spec's fields, each defaulting as the spec does
+    schema = cli._SCHEMA["quadrature"][2]["schema"]
+    assert {key: default for key, (_, default, _) in schema.items()} == {
+        f.name: f.default for f in dataclasses.fields(QuadratureSpec)}
 
 
 def _schema_fields():

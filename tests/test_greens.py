@@ -215,6 +215,29 @@ def test_im_coincidence_batched_equals_scalar_calls(backend_name,
                   <= 1e-13 * scale)
 
 
+@pytest.mark.parametrize("backend_name", ["closed_form", "sommerfeld",
+                                          "mode_sum"])
+def test_evaluate_batched_equals_scalar_calls(backend_name, cube_modeset):
+    # an array of frequencies is one call; the bulk backends loop over it,
+    # the mode sum builds its line sums once (a GEMM for the GEMV rows)
+    r, r0 = np.array([0.3, 0.6, 0.5]), np.array([0.5, 0.4, 0.15])
+    omegas = np.array([0.7, 1.3, 2.1])
+    if backend_name == "mode_sum":
+        backend, tol = CavityModeSum(cube_modeset, eta=1e-2), 1e-13
+        omegas = omegas * 3.0
+    else:
+        eps = DrudeLorentz(2.25, [(0.8, 3.0, 0.1)])
+        backend, tol = (BulkClosedForm(eps) if backend_name == "closed_form"
+                        else BulkSommerfeld(eps, spec=SPEC)), 0.0
+    batched = backend.evaluate(r, r0, omegas)
+    assert batched.shape == (3, 3, 3)
+    stacked = np.stack([backend.evaluate(r, r0, w) for w in omegas])
+    assert backend.evaluate(r, r0, omegas[1]).shape == (3, 3)
+    scale = np.max(np.abs(stacked), axis=(1, 2))
+    assert np.all(np.max(np.abs(batched - stacked), axis=(1, 2))
+                  <= tol * scale)
+
+
 def test_im_coincidence_batched_rejects_bad_input(cube_modeset):
     r = np.array([0.43, 0.51, 0.47])
     omegas = np.array([1.0, 2.0, 3.0])

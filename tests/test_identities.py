@@ -253,7 +253,7 @@ def test_surface_closure_lossless():
     omega = 1.0
     eps = ConstantScalar(1.0)
     rep = check_surface_term(eps, 25.0, np.array([0.9, 0.2, -0.3]),
-                             np.array([-0.4, 0.1, 0.5]), omega, spec=SPEC)
+                             np.array([-0.4, 0.1, 0.5]), omega)
     assert rep.rel_residual < 5e-2
 
 
@@ -265,7 +265,7 @@ def test_surface_term_vanishes_with_loss():
     radius = 5.0 / k_im
     eps = ConstantScalar(1.0 + 1j * delta)
     rep = check_surface_term(eps, radius, np.array([0.45, 0.0, 0.0]),
-                             np.array([-0.45, 0.0, 0.0]), omega, spec=SPEC)
+                             np.array([-0.45, 0.0, 0.0]), omega)
     surf = np.max(np.abs(np.asarray(rep.extras["surface_term"])))
     scale = np.max(np.abs(np.asarray(rep.rhs)))
     assert surf <= 1e-3 * scale
@@ -277,7 +277,7 @@ def test_surface_term_vanishes_with_loss():
 def test_surface_radius_margin_enforced():
     with pytest.raises(ValueError):
         check_surface_term(ConstantScalar(1.0), 1.0, np.array([0.9, 0, 0]),
-                           np.array([-0.9, 0, 0]), 1.0, spec=SPEC)
+                           np.array([-0.9, 0, 0]), 1.0)
 
 
 def test_surface_lossy_coincidence_rejected_before_any_flux(monkeypatch):
@@ -290,8 +290,7 @@ def test_surface_lossy_coincidence_rejected_before_any_flux(monkeypatch):
                         lambda *args: calls.append(1))
     r = np.array([0.2, 0.1, 0.0])
     with pytest.raises(ValueError, match="lossy coincidence"):
-        check_surface_term(ConstantScalar(1.0 + 0.5j), 30.0, r, r, 1.0,
-                           spec=SPEC)
+        check_surface_term(ConstantScalar(1.0 + 0.5j), 30.0, r, r, 1.0)
     assert calls == []
 
 

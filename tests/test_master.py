@@ -256,6 +256,22 @@ def test_markov_coefficients_thermal():
     assert abs(k2 - (j1 * nbar - 1j * PV_DN_T2)) < 1e-9
 
 
+def test_markov_shift_matches_cauchy_weight_quadrature_on_the_cube(
+        cube_modeset):
+    # independent reference: QUADPACK's QAWC (quad with weight='cauchy');
+    # the softened line at pi sqrt(2) sits 0.44 above omega0
+    from scipy import integrate
+
+    atom = make_atom(omega0=4.0, dipole=(0.0, 0.06, 0.08))
+    dens = spectral_density_lna(CavityModeSum(cube_modeset, eta=1e-2), atom,
+                                omega_max=8.0)
+    k1, _ = markov_coefficients(dens, 4.0)
+    ref = integrate.quad(lambda w: float(dens.value(w)[0]), 0.0, 8.0,
+                         weight="cauchy", wvar=4.0, epsabs=0.0, epsrel=1e-13,
+                         limit=5000)[0]
+    assert abs(-k1.imag - ref) <= 1e-12 * abs(ref)
+
+
 def test_markov_coefficients_discrete_and_resonant_guard():
     dens = SpectralDensity(omegas=np.array([0.5, 1.5]),
                            values=np.array([0.2, 0.1]))
